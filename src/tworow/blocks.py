@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import FieldKind, Scalar
 from .matrices import ExactMatrix, RowPermutation
-from .rowgraph import _null_connected_raw, _vanishes_fn
+from .rowgraph import row_null_masks
 
 DEFAULT_TRACK_BOUND = 8
 
@@ -154,44 +154,44 @@ def _nonzero_runs(mask: list[bool], cyclic: bool) -> list[tuple[int, int]]:
 
 
 def _grow_block(
-    rows: set[int],
+    rows: int,
     start0: int,
     length: int,
     nonzero,
-    adj: dict[int, set[int]],
+    masks: list[int],
     n: int,
     cyclic: bool,
 ) -> tuple[tuple[int, ...], int, int]:
-    """Close a valid seed under one-step extensions; the fixpoint is the
-    unique maximal block containing it."""
+    """Close a valid seed (rows as a 0-based bitmask) under one-step
+    extensions; the fixpoint is the unique maximal block containing it."""
+    m = len(nonzero)
     changed = True
     while changed:
         changed = False
+        members = [r for r in range(m) if rows >> r & 1]
         # widen columns while every current row stays nonzero
         while length < n:
             left = (start0 - 1) % n
-            if (cyclic or start0 > 0) and all(nonzero[r - 1][left] for r in rows):
+            if (cyclic or start0 > 0) and all(nonzero[r][left] for r in members):
                 start0, length = left, length + 1
                 changed = True
                 continue
             right = (start0 + length) % n
-            if (cyclic or start0 + length < n) and all(nonzero[r - 1][right] for r in rows):
+            if (cyclic or start0 + length < n) and all(nonzero[r][right] for r in members):
                 length += 1
                 changed = True
                 continue
             break
         cols = [(start0 + t) % n for t in range(length)]
-        for cand in range(1, len(nonzero) + 1):
-            if cand in rows:
+        for cand in range(m):
+            if rows >> cand & 1 or not masks[cand] & rows:
                 continue
-            if not adj[cand] & rows:
-                continue
-            if all(nonzero[cand - 1][c] for c in cols):
-                rows.add(cand)
+            if all(nonzero[cand][c] for c in cols):
+                rows |= 1 << cand
                 changed = True
     if cyclic and length == n:
         start0 = 0
-    return tuple(sorted(rows)), start0, length
+    return tuple(r + 1 for r in range(m) if rows >> r & 1), start0, length
 
 
 def find_one_blocks(a: ExactMatrix, cyclic: bool = False) -> list[OneBlock]:
@@ -203,32 +203,30 @@ def find_one_blocks(a: ExactMatrix, cyclic: bool = False) -> list[OneBlock]:
     """
     if a.n < 2:
         raise DegenerateMatrix("1-blocks need at least two columns")
-    raw = a.raw()
     m, n = a.m, a.n
-    vanishes = _vanishes_fn(a)
-    nonzero = [[v != 0 for v in row] for row in raw]
-    adj: dict[int, set[int]] = {i: set() for i in range(1, m + 1)}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if _null_connected_raw(raw[i], raw[j], vanishes, cyclic):
-                adj[i + 1].add(j + 1)
-                adj[j + 1].add(i + 1)
+    masks = row_null_masks(a, cyclic)
+    nonzero = [[v != 0 for v in row] for row in a.raw()]
+    nonzero_bits = [sum(1 << k for k, v in enumerate(row) if v) for row in nonzero]
+    wrap = 1 | 1 << (n - 1)
     found: dict[tuple, OneBlock] = {}
     cell_cover: set[tuple[int, int]] = set()
-    for i in range(1, m + 1):
-        for j in sorted(adj[i]):
-            if j < i:
+    for i in range(m):
+        for j in range(i + 1, m):
+            if not masks[i] >> j & 1:
                 continue
-            mask = [nonzero[i - 1][k] and nonzero[j - 1][k] for k in range(n)]
+            both = nonzero_bits[i] & nonzero_bits[j]
+            if not both & both >> 1 and not (cyclic and both & wrap == wrap):
+                continue  # no two adjacent columns nonzero in both rows
+            mask = [nonzero[i][k] and nonzero[j][k] for k in range(n)]
             for start0, length in _nonzero_runs(mask, cyclic):
                 if all(
                     (r, (start0 + t) % n) in cell_cover
-                    for r in (i, j)
+                    for r in (i + 1, j + 1)
                     for t in range(length)
                 ):
                     continue  # seed already inside a found block
                 rows, s0, ln = _grow_block(
-                    {i, j}, start0, length, nonzero, adj, n, cyclic
+                    1 << i | 1 << j, start0, length, nonzero, masks, n, cyclic
                 )
                 key = (rows, s0, ln)
                 if key not in found:

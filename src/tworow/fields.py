@@ -109,15 +109,26 @@ class FieldSpec:
     def scalar(self, value) -> "Scalar":
         return Scalar(self, value)
 
-    def parse_scalar(self, text: str) -> "Scalar":
-        """Parse a canonical literal: decimal residue for GF, a/b or int for Q."""
+    def canonical(self, value):
+        """The raw canonical value of a plain number: a residue in [0, p)
+        over GF(p), a Fraction over Q."""
+        if self.kind is FieldKind.RATIONAL:
+            return value if type(value) is Fraction else Fraction(value)
+        return int(value) % self.p  # type: ignore[operator]
+
+    def parse_raw(self, text: str):
+        """Parse a canonical literal to its raw value: decimal residue for GF,
+        a/b or int for Q."""
         text = text.strip()
         try:
             if self.kind is FieldKind.RATIONAL:
-                return Scalar(self, Fraction(text))
-            return Scalar(self, int(text))
+                return Fraction(text)
+            return int(text) % self.p  # type: ignore[operator]
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad {self.name} scalar literal {text!r}") from exc
+
+    def parse_scalar(self, text: str) -> "Scalar":
+        return Scalar(self, self.parse_raw(text))
 
 
 GF2 = FieldSpec(FieldKind.GF2, 2)
@@ -157,12 +168,8 @@ class Scalar:
             if value.spec != spec:
                 raise FieldMismatch(f"cannot coerce {value!r} into {spec.name}")
             value = value.value
-        if spec.kind is FieldKind.RATIONAL:
-            value = value if type(value) is Fraction else Fraction(value)
-        else:
-            value = int(value) % spec.p  # type: ignore[operator]
         self.spec = spec
-        self.value = value
+        self.value = spec.canonical(value)
 
     def _check(self, other: "Scalar") -> None:
         if not isinstance(other, Scalar):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateGraph, NotSquare, SizeBound
+from .errors import AssertionFailure, DegenerateGraph, NotSquare, SizeBound
 from .matrices import ExactMatrix, RowPermutation, permute_rows
 from .rowgraph import (
     RowGraph,
@@ -78,32 +78,37 @@ def _search(adj: list[int], n: int, start: int, want_cycle: bool) -> list[int] |
     return None
 
 
+def _checked(witness: PathWitness, g: RowGraph) -> PathWitness:
+    """Postcondition of both searches, kept under python -O."""
+    if not witness.is_valid_for(g):
+        raise AssertionFailure(f"search returned {witness.order}, not a valid witness")
+    return witness
+
+
 def hamiltonian_path(g: RowGraph) -> PathWitness | None:
     if g.n == 1:
         return PathWitness((1,), False)
     if len(g.edges) < g.n - 1:
         return None  # too few edges for any spanning path
+    adj = _adjacency_masks(g)
     for start in range(g.n):
-        order = _search(_adjacency_masks(g), g.n, start, want_cycle=False)
+        order = _search(adj, g.n, start, want_cycle=False)
         if order is not None:
-            witness = PathWitness(tuple(v + 1 for v in order), False)
-            assert witness.is_valid_for(g)
-            return witness
+            return _checked(PathWitness(tuple(v + 1 for v in order), False), g)
     return None
 
 
 def hamiltonian_cycle(g: RowGraph) -> PathWitness | None:
     if g.n < 3:
         raise DegenerateGraph(f"cycles need at least 3 vertices, got {g.n}")
-    if any(g.degree(v) < 2 for v in range(1, g.n + 1)):
+    adj = _adjacency_masks(g)
+    if any(mask.bit_count() < 2 for mask in adj):
         return None
     # anchoring the start at vertex 1 kills rotational symmetry
-    order = _search(_adjacency_masks(g), g.n, 0, want_cycle=True)
+    order = _search(adj, g.n, 0, want_cycle=True)
     if order is None:
         return None
-    witness = PathWitness(tuple(v + 1 for v in order), True)
-    assert witness.is_valid_for(g)
-    return witness
+    return _checked(PathWitness(tuple(v + 1 for v in order), True), g)
 
 
 def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation | None:
@@ -124,7 +129,10 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
         return None
     sigma = RowPermutation(witness.order)
     check = is_cyclically_square_traceable if cyclic else is_square_traceable
-    assert check(permute_rows(a, sigma))
+    if not check(permute_rows(a, sigma)):
+        raise AssertionFailure(
+            f"row order {sigma.image} is not square-traceable", matrix=a
+        )
     return sigma
 
 
@@ -135,12 +143,12 @@ def graphs_isomorphic(g: RowGraph, h: RowGraph) -> bool:
     if g.n != h.n or len(g.edges) != len(h.edges):
         return False
     n = g.n
-    gdeg = [g.degree(v) for v in range(1, n + 1)]
-    hdeg = [h.degree(v) for v in range(1, n + 1)]
-    if sorted(gdeg) != sorted(hdeg):
-        return False
     gadj = _adjacency_masks(g)
     hadj = _adjacency_masks(h)
+    gdeg = [mask.bit_count() for mask in gadj]
+    hdeg = [mask.bit_count() for mask in hadj]
+    if sorted(gdeg) != sorted(hdeg):
+        return False
     image = [-1] * n
 
     def assign(v: int, used: int) -> bool:

@@ -98,13 +98,13 @@ def sample_gl(n: int, q: int, rng: random.Random) -> ExactMatrix:
         while True:
             packed = [rng.getrandbits(n) for _ in range(n)]
             if _det_gf2_packed(list(packed), n):
-                return ExactMatrix(
-                    spec, [[row >> c & 1 for c in range(n)] for row in packed]
+                return ExactMatrix._from_raw(
+                    spec, tuple(tuple(row >> c & 1 for c in range(n)) for row in packed)
                 )
     while True:
-        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-        if _det_mod_p([list(r) for r in rows], q):
-            return ExactMatrix(spec, rows)
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)]
+        if _det_mod_p(rows, q):
+            return ExactMatrix._from_raw(spec, tuple(rows))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

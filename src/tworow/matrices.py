@@ -22,34 +22,50 @@ from .fields import FieldKind, FieldSpec, Scalar, parse_field
 
 
 class ExactMatrix:
-    """An immutable m x n matrix of Scalars over a single FieldSpec."""
+    """An immutable m x n matrix over a single FieldSpec.
 
-    __slots__ = ("spec", "m", "n", "_rows", "_raw")
+    Entries are stored as canonical raw values (int residues over GF(p),
+    Fractions over Q); Scalars are built only for entry, row and
+    scalar_rows, on first use.
+    """
+
+    __slots__ = ("spec", "m", "n", "_raw", "_scalars")
 
     def __init__(self, spec: FieldSpec, rows) -> None:
-        built = []
+        raw = []
         for row in rows:
-            scalars = tuple(
-                v if isinstance(v, Scalar) and v.spec == spec
-                else spec.parse_scalar(v) if isinstance(v, str)
-                else Scalar(spec, v)
-                for v in row
-            )
-            built.append(scalars)
-        if not built or not built[0]:
+            vals = []
+            for v in row:
+                if isinstance(v, Scalar):
+                    if v.spec != spec:
+                        raise FieldMismatch(f"cannot coerce {v!r} into {spec.name}")
+                    vals.append(v.value)
+                elif isinstance(v, str):
+                    vals.append(spec.parse_raw(v))
+                else:
+                    vals.append(spec.canonical(v))
+            raw.append(tuple(vals))
+        self._init(spec, tuple(raw))
+
+    def _init(self, spec: FieldSpec, raw: tuple) -> None:
+        if not raw or not raw[0]:
             raise SizeMismatch("matrices need at least one row and one column")
-        width = len(built[0])
-        if any(len(r) != width for r in built):
+        width = len(raw[0])
+        if any(len(r) != width for r in raw):
             raise SizeMismatch("ragged rows: all rows must share one length")
-        for r in built:
-            for v in r:
-                if v.spec != spec:
-                    raise FieldMismatch("entry spec differs from matrix spec")
         self.spec = spec
-        self.m = len(built)
+        self.m = len(raw)
         self.n = width
-        self._rows = tuple(built)
-        self._raw = None
+        self._raw = raw
+        self._scalars = None
+
+    @classmethod
+    def _from_raw(cls, spec: FieldSpec, raw: tuple) -> "ExactMatrix":
+        """Trusted constructor: raw is a tuple of equal-length tuples of
+        canonical values over spec; only the shape is checked."""
+        a = cls.__new__(cls)
+        a._init(spec, raw)
+        return a
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "ExactMatrix":
@@ -67,19 +83,22 @@ class ExactMatrix:
         self._check_row(i)
         if not 1 <= j <= self.n:
             raise IndexOutOfRange(f"column {j} outside 1..{self.n}")
-        return self._rows[i - 1][j - 1]
+        return self.scalar_rows()[i - 1][j - 1]
 
     def row(self, i: int) -> tuple[Scalar, ...]:
         self._check_row(i)
-        return self._rows[i - 1]
+        return self.scalar_rows()[i - 1]
 
     def scalar_rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self._rows
+        if self._scalars is None:
+            spec = self.spec
+            self._scalars = tuple(
+                tuple(Scalar(spec, v) for v in r) for r in self._raw
+            )
+        return self._scalars
 
     def raw(self):
-        """Row-major tuple of plain values (int residues or Fractions), cached."""
-        if self._raw is None:
-            self._raw = tuple(tuple(v.value for v in r) for r in self._rows)
+        """Row-major tuple of plain values (int residues or Fractions)."""
         return self._raw
 
     def _check_row(self, i: int) -> None:
@@ -89,19 +108,19 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.spec == other.spec and self._rows == other._rows
+        return self.spec == other.spec and self._raw == other._raw
 
     def __hash__(self) -> int:
-        return hash((self.spec, self._rows))
+        return hash((self.spec, self._raw))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(v) for v in r) for r in self._rows)
+        body = "; ".join(" ".join(str(v) for v in r) for r in self._raw)
         return f"ExactMatrix({self.spec.name}, [{body}])"
 
     def to_json_dict(self) -> dict:
         return {
             "field": self.spec.name,
-            "rows": [[str(v) for v in r] for r in self._rows],
+            "rows": [[str(v) for v in r] for r in self._raw],
         }
 
     @staticmethod
@@ -112,24 +131,28 @@ class ExactMatrix:
         rows = obj["rows"]
         if not isinstance(rows, list) or not rows:
             raise ParseError('"rows" must be a non-empty list of rows')
+        parsed: dict[str, object] = {}  # literal -> raw value, for this document
         out = []
         for r, row in enumerate(rows, start=1):
             if not isinstance(row, list) or not row:
                 raise ParseError(f"row {r} must be a non-empty list of entries")
-            parsed = []
+            vals = []
             for c, cell in enumerate(row, start=1):
                 if isinstance(cell, str):
-                    try:
-                        parsed.append(spec.parse_scalar(cell))
-                    except ParseError as exc:
-                        raise ParseError(f"row {r}, column {c}: {exc}") from exc
+                    v = parsed.get(cell)
+                    if v is None:
+                        try:
+                            v = parsed[cell] = spec.parse_raw(cell)
+                        except ParseError as exc:
+                            raise ParseError(f"row {r}, column {c}: {exc}") from exc
+                    vals.append(v)
                 elif isinstance(cell, int):
-                    parsed.append(spec.scalar(cell))
+                    vals.append(spec.canonical(cell))
                 else:
                     raise ParseError(f"row {r}, column {c}: entries must be strings")
-            out.append(parsed)
+            out.append(tuple(vals))
         try:
-            return ExactMatrix(spec, out)
+            return ExactMatrix._from_raw(spec, tuple(out))
         except SizeMismatch as exc:
             raise ParseError(str(exc)) from exc
 
@@ -205,7 +228,8 @@ def permute_rows(a: ExactMatrix, sigma: RowPermutation) -> ExactMatrix:
     """Row i of the result is row sigma(i) of a."""
     if sigma.n != a.m:
         raise SizeMismatch(f"permutation size {sigma.n} != row count {a.m}")
-    return ExactMatrix(a.spec, [a.row(sigma(i)) for i in range(1, a.m + 1)])
+    raw = a.raw()
+    return ExactMatrix._from_raw(a.spec, tuple(raw[k - 1] for k in sigma.image))
 
 
 def consecutive_minor(a: ExactMatrix, i: int, j: int, k: int) -> Scalar:
@@ -350,40 +374,6 @@ def determinant(a: ExactMatrix) -> Scalar:
     if spec.kind is FieldKind.GFP:
         return spec.scalar(_det_mod_p(raw, spec.p))
     return spec.scalar(_det_rational(raw))
-
-
-def determinant_generic(a: ExactMatrix) -> Scalar:
-    """Reference determinant: textbook partial-pivot elimination on Scalars.
-
-    Field-agnostic; kept as the cross-check target for the fast paths.
-    """
-    if not a.is_square:
-        raise NotSquare(f"determinant of a {a.m}x{a.n} matrix")
-    n = a.n
-    spec = a.spec
-    rows = [list(r) for r in a.scalar_rows()]
-    det = spec.one
-    negate = False
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if rows[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return spec.zero
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            negate = not negate
-        pivot = rows[c][c]
-        det = det * pivot
-        inv = pivot.inv()
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            if f:
-                top = rows[c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
-    return -det if negate else det
 
 
 def rank(a: ExactMatrix) -> int:

@@ -22,7 +22,7 @@ from .errors import DimensionMismatch, FieldMismatch, ParseError, SingularBasis
 from .fields import FieldKind, FieldSpec, Scalar
 from .hamilton import PathWitness, hamiltonian_cycle, hamiltonian_path
 from .matrices import ExactMatrix, RowPermutation, determinant
-from .rowgraph import GraphFlavor, RowGraph
+from .rowgraph import GraphFlavor, RowGraph, masks_graph, null_masks
 
 
 @dataclass(frozen=True)
@@ -222,32 +222,17 @@ def _check_basis(t: PairingTriple, basis: BasisMatrix) -> ExactMatrix:
     return a
 
 
-def _support_adjacency(t: PairingTriple, a: ExactMatrix) -> list[list[bool]]:
-    """pairs[i][j] (0-based, i<j) = does q(w_i, w_j) have a nonzero coordinate."""
-    raw = a.raw()
-    n = a.n
-    rational = t.spec.kind is FieldKind.RATIONAL
-    p = t.spec.p
-    hit = [[False] * n for _ in range(n)]
-    for i in range(n):
-        ri = raw[i]
-        for j in range(i + 1, n):
-            rj = raw[j]
-            for x, y in t.edges:
-                d = ri[x - 1] * rj[y - 1] - ri[y - 1] * rj[x - 1]
-                if d if rational else d % p:
-                    hit[i][j] = True
-                    break
-    return hit
+def _support_graph(t: PairingTriple, a: ExactMatrix) -> RowGraph:
+    """Support graph of an already checked basis: rows w_i, w_j are joined
+    iff some edge {x, y} gives the nonzero coordinate of q(w_i, w_j), the
+    2x2 minor of rows i, j on columns (x, y)."""
+    masks = null_masks(a.raw(), a.spec, [(x - 1, y - 1) for x, y in t.edges])
+    return masks_graph(masks, False, GraphFlavor.PAIRING)
 
 
 def basis_support_graph(t: PairingTriple, basis: BasisMatrix) -> RowGraph:
     """Graph on basis rows with an edge where the pairing does not vanish."""
-    a = _check_basis(t, basis)
-    hit = _support_adjacency(t, a)
-    n = a.n
-    pairs = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if hit[i][j]]
-    return RowGraph.of(n, pairs, GraphFlavor.PAIRING)
+    return _support_graph(t, _check_basis(t, basis))
 
 
 def basis_hamiltonian_witness(
@@ -261,7 +246,7 @@ def basis_hamiltonian_witness(
         return None if cyclic else RowPermutation.identity(1)
     if cyclic and a.n < 3:
         return None
-    g = basis_support_graph(t, basis)
+    g = _support_graph(t, a)
     witness = hamiltonian_cycle(g) if cyclic else hamiltonian_path(g)
     if witness is None:
         return None

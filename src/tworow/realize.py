@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import AssertionFailure
 from .fields import GF2
 from .matrices import ExactMatrix
 from .raag import SimplicialGraph
@@ -72,8 +73,12 @@ def realize(graph: SimplicialGraph) -> RealizationResult:
                 append_unit(new)
         append_unit(None)
     append_unit(None)
-    a = ExactMatrix(GF2, rows)
-    assert a.n == expected_columns(graph)
+    a = ExactMatrix._from_raw(GF2, tuple(map(tuple, rows)))
+    if a.n != expected_columns(graph):
+        raise AssertionFailure(
+            f"realization has {a.n} columns, expected {expected_columns(graph)}",
+            matrix=a,
+        )
     return RealizationResult(a)
 
 

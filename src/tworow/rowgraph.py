@@ -4,15 +4,20 @@ Vertices are row indices 1..m.  Rows i and j are null-connected when every
 2x2 minor they span on consecutive columns is singular; the cyclic variant
 additionally requires the wraparound minor on columns (n, 1) to vanish.  The
 two-row graph joins exactly the pairs that are not null-connected.
+
+All row pairs at once come from one kernel, null_masks, which takes any set
+of column windows; the pairing support graphs of raag use it with a graph's
+edges as the windows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import gcd, lcm
 
 from .errors import DegenerateMatrix, IndexOutOfRange, NotSquare
-from .fields import FieldKind
+from .fields import FieldKind, FieldSpec
 from .matrices import ExactMatrix
 
 
@@ -51,9 +56,6 @@ class RowGraph:
     @property
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
-
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [[i, j] for i, j in self.sorted_edges]}
@@ -94,33 +96,109 @@ def _null_connected_raw(ri, rj, vanishes, cyclic: bool) -> bool:
     return True
 
 
+def _projective_classes(raw, spec: FieldSpec):
+    """Rows to classify and the class key of a nonzero pair (a, b) of their
+    entries: b/a mod p over GF(p) (p itself when a = 0); over Q, the pair
+    divided by its gcd with a sign fixed, after clearing each row's
+    denominators.  Two nonzero pairs span a singular 2x2 minor exactly
+    when their keys agree."""
+    if spec.kind is FieldKind.RATIONAL:
+        rows = []
+        for row in raw:
+            d = lcm(*(f.denominator for f in row))
+            rows.append([f.numerator * (d // f.denominator) for f in row])
+
+        def key(a, b):
+            g = gcd(a, b)
+            if a < 0 or (not a and b < 0):
+                g = -g
+            return a // g, b // g
+
+        return rows, key
+    p = spec.p
+    inverse: dict[int, int] = {}
+
+    def key(a, b):
+        if not a:
+            return p
+        inv = inverse.get(a)
+        if inv is None:
+            inv = inverse[a] = pow(a, -1, p)
+        return b * inv % p
+
+    return raw, key
+
+
+def null_masks(raw, spec: FieldSpec, windows) -> list[int]:
+    """Null-connectedness of the rows of raw on a set of column windows.
+
+    Bit j of mask i is set iff rows i != j (0-based) span a singular 2x2
+    minor on every column pair (x, y) in windows (0-based).  In each window
+    a row with both entries zero is singular with every row, and any other
+    row exactly with the rows of its projective class, so a window costs
+    O(m).  Rows with an empty mask drop out, and the scan stops once every
+    mask is empty.
+    """
+    m = len(raw)
+    masks = [((1 << m) - 1) ^ (1 << i) for i in range(m)]
+    rows, key = _projective_classes(raw, spec)
+    live = range(m)
+    for x, y in windows:
+        live = [i for i in live if masks[i]]
+        if not live:
+            break
+        classes: dict = {}
+        zero = 0
+        keyed = []
+        for i in live:
+            r = rows[i]
+            a, b = r[x], r[y]
+            if a or b:
+                k = key(a, b)
+                classes[k] = classes.get(k, 0) | 1 << i
+                keyed.append((i, k))
+            else:
+                zero |= 1 << i
+        for i, k in keyed:
+            masks[i] &= classes[k] | zero
+    return masks
+
+
+def masks_graph(masks: list[int], null: bool, flavor: GraphFlavor) -> RowGraph:
+    """The graph on rows 1..m joining i, j where bit j-1 of masks[i-1] is
+    set (null=True) or clear (null=False)."""
+    m = len(masks)
+    edges = frozenset(
+        (i + 1, j + 1)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if (masks[i] >> j & 1) == null
+    )
+    return RowGraph(m, edges, flavor)
+
+
+def row_null_masks(a: ExactMatrix, cyclic: bool = False) -> list[int]:
+    """null_masks of a's rows on its consecutive column windows, plus the
+    wraparound window (n, 1) when cyclic."""
+    windows = [(k, k + 1) for k in range(a.n - 1)]
+    if cyclic and a.n > 1:
+        windows.append((a.n - 1, 0))
+    return null_masks(a.raw(), a.spec, windows)
+
+
 def two_row_graph(a: ExactMatrix, cyclic: bool = False) -> RowGraph:
     """The (cyclic) two-row graph of a: rows adjacent iff not null-connected.
 
     Single-column matrices have no 2x2 windows, so every row pair is
     null-connected and the graph is edgeless; Id_1 gives the 1-vertex path.
     """
-    raw = a.raw()
-    vanishes = _vanishes_fn(a)
-    edges = set()
-    for i in range(a.m):
-        for j in range(i + 1, a.m):
-            if not _null_connected_raw(raw[i], raw[j], vanishes, cyclic):
-                edges.add((i + 1, j + 1))
     flavor = GraphFlavor.CYCLIC if cyclic else GraphFlavor.PLAIN
-    return RowGraph(a.m, frozenset(edges), flavor)
+    return masks_graph(row_null_masks(a, cyclic), False, flavor)
 
 
 def opp_graph(a: ExactMatrix, cyclic: bool = False) -> RowGraph:
     """Null-connectedness as the edge relation; complements two_row_graph."""
-    raw = a.raw()
-    vanishes = _vanishes_fn(a)
-    edges = set()
-    for i in range(a.m):
-        for j in range(i + 1, a.m):
-            if _null_connected_raw(raw[i], raw[j], vanishes, cyclic):
-                edges.add((i + 1, j + 1))
-    return RowGraph(a.m, frozenset(edges), GraphFlavor.OPP)
+    return masks_graph(row_null_masks(a, cyclic), True, GraphFlavor.OPP)
 
 
 def is_square_traceable(a: ExactMatrix) -> bool:

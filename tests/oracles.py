@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from tworow import ExactMatrix, FieldKind
+from tworow import ExactMatrix, FieldKind, NotSquare, Scalar
 
 
 def _is_zero_fn(a: ExactMatrix):
@@ -52,6 +52,40 @@ def naive_determinant(a: ExactMatrix):
     if a.spec.kind is FieldKind.RATIONAL:
         return total
     return total % a.spec.p
+
+
+def determinant_generic(a: ExactMatrix) -> Scalar:
+    """Reference determinant: textbook partial-pivot elimination on Scalars.
+
+    Field-agnostic; the Scalar-level cross-check for the raw fast paths.
+    """
+    if not a.is_square:
+        raise NotSquare(f"determinant of a {a.m}x{a.n} matrix")
+    n = a.n
+    spec = a.spec
+    rows = [list(r) for r in a.scalar_rows()]
+    det = spec.one
+    negate = False
+    for c in range(n):
+        piv = None
+        for r in range(c, n):
+            if rows[r][c]:
+                piv = r
+                break
+        if piv is None:
+            return spec.zero
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            negate = not negate
+        pivot = rows[c][c]
+        det = det * pivot
+        inv = pivot.inv()
+        for r in range(c + 1, n):
+            f = rows[r][c] * inv
+            if f:
+                top = rows[c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+    return -det if negate else det
 
 
 def brute_null_connected(a: ExactMatrix, i: int, j: int, cyclic: bool) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from tworow import (
     GF2,
     QQ,
+    AssertionFailure,
     DegenerateGraph,
     ExactMatrix,
     NotSquare,
@@ -169,3 +170,21 @@ def test_isomorphism_degree_refinement_not_fooled():
     c6 = cycle_graph(6)
     two_triangles = RowGraph.of(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     assert not graphs_isomorphic(c6, two_triangles)
+
+
+def test_postconditions_raise_on_invalid_search_result(monkeypatch):
+    import tworow.hamilton as hamilton
+
+    # a search that returns a vertex order missing an edge of the graph
+    monkeypatch.setattr(hamilton, "_search", lambda *args, **kwargs: [1, 0, 2, 3])
+    with pytest.raises(AssertionFailure):
+        hamiltonian_path(path_graph(4))
+    with pytest.raises(AssertionFailure):
+        hamiltonian_cycle(cycle_graph(4))
+    monkeypatch.undo()
+    # a path witness that is not square-traceable in the matrix's own rows
+    monkeypatch.setattr(
+        hamilton, "hamiltonian_path", lambda g: PathWitness((2, 1, 3, 4), False)
+    )
+    with pytest.raises(AssertionFailure):
+        traceable_ordering(ExactMatrix.identity(GF2, 4))

@@ -22,16 +22,15 @@ from tworow import (
     canonical_json,
     consecutive_minor,
     determinant,
-    determinant_generic,
     matrix_from_csv_text,
     permute_rows,
     rank,
     wrap_minor,
 )
-from tworow.fields import FieldSpec
+from tworow.fields import FieldSpec, Scalar
 
 from .conftest import ALL_SPECS, random_matrix
-from .oracles import naive_determinant, perm_parity
+from .oracles import determinant_generic, naive_determinant, perm_parity
 
 
 def test_construction_and_entry():
@@ -211,6 +210,29 @@ def test_csv_parsing():
         matrix_from_csv_text("\n\n", GF2)
     with pytest.raises(ParseError):
         matrix_from_csv_text("1,0\n1\n", GF2)
+
+
+def test_raw_storage_boundary():
+    # mixed Scalar / int / str / Fraction entries land on one canonical raw form
+    a = ExactMatrix(QQ, [[QQ.scalar(Fraction(1, 2)), 3], ["-2/4", Fraction(6, 2)]])
+    assert a.raw() == ((Fraction(1, 2), Fraction(3)), (Fraction(-1, 2), Fraction(3)))
+    assert all(type(v) is Fraction for row in a.raw() for v in row)
+    g = ExactMatrix(GF5, [[GF5.scalar(7), -1], ["12", Fraction(9)]])
+    assert g.raw() == ((2, 4), (2, 4))
+    # equality and hashing follow the raw values and the field
+    same = ExactMatrix(QQ, [["1/2", "3"], [Fraction(-1, 2), 3]])
+    assert a == same and hash(a) == hash(same)
+    assert a != ExactMatrix(QQ, [["1/2", "3"], ["1/2", "3"]])
+    assert g != ExactMatrix(GF3, [[2, 1], [2, 1]])
+    # the API boundary still hands out Scalars
+    assert isinstance(a.entry(2, 1), Scalar) and a.entry(2, 1) == QQ.scalar(Fraction(-1, 2))
+    assert a.row(1) == (QQ.scalar(Fraction(1, 2)), QQ.scalar(3))
+    assert all(isinstance(v, Scalar) for row in g.scalar_rows() for v in row)
+    # parse errors from JSON keep their row and column
+    with pytest.raises(ParseError, match="row 1, column 2"):
+        ExactMatrix.from_json_dict({"field": "q", "rows": [["1", "1/0"]]})
+    with pytest.raises(ParseError, match="row 2, column 1: entries must be strings"):
+        ExactMatrix.from_json_dict({"field": "gf(5)", "rows": [["1"], [1.5]]})
 
 
 def test_matrix_equality_and_hash():

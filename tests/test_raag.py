@@ -143,6 +143,29 @@ def test_support_graph_identity_basis():
         assert g.flavor is GraphFlavor.PAIRING
 
 
+@pytest.mark.parametrize("spec", [GF3, QQ])
+def test_support_graph_matches_pair_vectors(spec):
+    rng = random.Random(53)
+    for _ in range(15):
+        n = rng.randint(1, 6)
+        pairs = [
+            (i, j)
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            if rng.random() < 0.5
+        ]
+        gamma = SimplicialGraph.of(n, pairs)
+        t = cup_pairing(gamma, spec)
+        b = random_invertible(rng, spec, n)
+        expected = {
+            (i, j)
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            if any(pair_vectors(t, b.row(i), b.row(j)))
+        }
+        assert set(basis_support_graph(t, BasisMatrix(b)).edges) == expected
+
+
 def test_support_graph_errors():
     t = cup_pairing(p_n(3), GF2)
     with pytest.raises(SingularBasis):

@@ -1,7 +1,11 @@
+import importlib
 import itertools
 import random
 
+import pytest
+
 from tworow import (
+    AssertionFailure,
     ExactMatrix,
     GF2,
     RealizationResult,
@@ -118,3 +122,11 @@ def test_result_json():
     assert d["matrix"]["field"] == "gf2"
     assert res.vertex_to_row(2) == 2
     assert res.n == 2
+
+
+def test_column_count_postcondition_raises(monkeypatch):
+    # the package re-exports realize(), which shadows the submodule name
+    realize_module = importlib.import_module("tworow.realize")
+    monkeypatch.setattr(realize_module, "expected_columns", lambda graph: -1)
+    with pytest.raises(AssertionFailure):
+        realize(SimplicialGraph.of(3, [(1, 2)]))

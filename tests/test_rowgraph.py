@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from tworow import (
     QQ,
     DegenerateMatrix,
     ExactMatrix,
+    FieldSpec,
     GraphFlavor,
     IndexOutOfRange,
     RowGraph,
@@ -18,6 +20,7 @@ from tworow import (
     RowPermutation,
     two_row_graph,
 )
+from tworow.hamilton import _adjacency_masks
 
 from .conftest import ALL_SPECS, random_matrix
 from .oracles import brute_graph_edges, brute_null_connected
@@ -80,13 +83,43 @@ def test_single_column_matrices_are_edgeless():
     assert set(opp_graph(a).edges) == complete_edges(3)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS)
+def edge_case_matrices(rng, spec):
+    """Inputs that exercise every branch of the projective-class kernel:
+    one row or one column, zero rows, row pairs scaled by negative or
+    fractional constants (so they share a class), non-integer rationals."""
+    if spec is QQ:
+        scales = [Fraction(-1), Fraction(-3, 7), Fraction(1, 2), Fraction(5)]
+
+        def entry():
+            return Fraction(rng.choice([0, 0, 1, -1, 2, -5]), rng.choice([1, 2, 3, 7]))
+
+    else:
+        scales = [spec.p - 1] + [rng.randrange(1, spec.p) for _ in range(3)]
+
+        def entry():
+            return rng.choice([0, 0, rng.randrange(spec.p)])
+
+    yield random_matrix(rng, spec, rng.randint(2, 5), 1)
+    yield random_matrix(rng, spec, 1, rng.randint(1, 5))
+    for _ in range(10):
+        m, n = rng.randint(1, 5), rng.randint(2, 7)
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        for _ in range(rng.randint(1, 3)):
+            c = rng.choice(scales)
+            rows.append([v * c for v in rows[rng.randrange(m)]])
+        rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+        yield ExactMatrix(spec, rows)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [FieldSpec.gf(2147483647)])
 @pytest.mark.parametrize("cyclic", [False, True])
 def test_graph_matches_oracle_and_complements_opp(spec, cyclic):
     rng = random.Random(37)
-    for _ in range(25):
-        m, n = rng.randint(2, 6), rng.randint(2, 6)
-        a = random_matrix(rng, spec, m, n)
+    randoms = [
+        random_matrix(rng, spec, rng.randint(2, 6), rng.randint(2, 6)) for _ in range(25)
+    ]
+    for a in randoms + list(edge_case_matrices(rng, spec)):
+        m = a.m
         g = two_row_graph(a, cyclic)
         o = opp_graph(a, cyclic)
         assert set(g.edges) == brute_graph_edges(a, cyclic)
@@ -139,7 +172,7 @@ def test_row_graph_helpers():
     assert g.sorted_edges == [(1, 2), (3, 4)]
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert not g.has_edge(1, 3)
-    assert g.degree(1) == 1
+    assert _adjacency_masks(g)[0].bit_count() == 1  # degree of vertex 1
     assert not g.is_complete
     assert RowGraph.of(3, complete_edges(3)).is_complete
     doc = g.to_json_dict()

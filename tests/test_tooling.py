@@ -1,0 +1,20 @@
+"""Source-level checks on the package itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tworow"
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements; checks must raise instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert sorted(SRC.glob("*.py")), f"no sources under {SRC}"
+    assert found == []

@@ -29,7 +29,7 @@ from .errors import (
     ZeroEntryInString,
 )
 from .fields import FieldKind, Scalar
-from .matrices import ExactMatrix, RowPermutation
+from .matrices import ExactMatrix, RowPermutation, image_sign
 from .rowgraph import row_null_masks
 
 DEFAULT_TRACK_BOUND = 8
@@ -351,31 +351,12 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
                 break
         if not prod:
             continue
-        term = prod if _parity(image) else -prod
+        term = prod if image_sign(image) == 1 else -prod
         if spec.kind is FieldKind.RATIONAL:
             total += term
         else:
             total = (total + term) % p
     return spec.scalar(total)
-
-
-def _parity(image: list[int]) -> bool:
-    """True for even permutations; image is 1-based values in list positions."""
-    n = len(image)
-    seen = [False] * n
-    even = True
-    for start in range(n):
-        if seen[start]:
-            continue
-        k = start
-        length = 0
-        while not seen[k]:
-            seen[k] = True
-            k = image[k] - 1
-            length += 1
-        if length % 2 == 0:
-            even = not even
-    return even
 
 
 def complete_tracks(

@@ -1,10 +1,19 @@
 """Exact Hamiltonian path/cycle search on small graphs, row-ordering
 decisions for square matrices, and brute-force graph isomorphism.
 
-Search is lexicographic depth-first with a dead-state memo on (visited
-bitmask, last vertex): a state that admits no completion is never re-entered.
-Within the memoized regime the returned witness is the lexicographically
-smallest one, which golden tests rely on.
+One iterative depth-first search on an explicit stack serves paths (start
+vertices tried in order) and cycles (anchored at vertex 1).  It extends the
+path by the smallest unvisited neighbour first, so the first witness found
+is the lexicographically smallest one, which golden tests rely on.  Pruning
+is lazy: once the search has met its first dead end, each new state
+(visited bitmask, last vertex) must pass a bit-mask test (every unvisited
+vertex reachable from the last one, and few enough forced path ends) before
+it is entered.  A greedy run to the end pays nothing for it.  The test only
+cuts states with no completion, so it never changes the witness.  Up to
+MEMO_LIMIT vertices a dead-state memo on (visited bitmask, last vertex)
+also skips states already known to fail, shared by all start vertices of a
+path search.  No recursion is involved, so any graph size is safe from the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from .rowgraph import (
     RowGraph,
     is_cyclically_square_traceable,
     is_square_traceable,
-    two_row_graph,
+    row_null_masks,
 )
 
 MEMO_LIMIT = 20
@@ -49,33 +58,95 @@ def _adjacency_masks(g: RowGraph) -> list[int]:
     return masks
 
 
-def _search(adj: list[int], n: int, start: int, want_cycle: bool) -> list[int] | None:
-    """Lexicographic DFS from a fixed start vertex (0-based)."""
+def _search(adj: list[int], closed: bool) -> list[int] | None:
+    """The lexicographically smallest Hamiltonian path (closed=False), or
+    cycle anchored at vertex 0 (closed=True), of the graph with adjacency
+    masks adj on vertices 0..n-1, n >= 2, as a vertex list; None if there
+    is none.  Pruning and memo are described in the module docstring.
+    Whether a state can be completed to a path does not depend on where the
+    path started, so all starts share one memo.
+    """
+    n = len(adj)
     full = (1 << n) - 1
-    dead: set | None = set() if n <= MEMO_LIMIT else None
-    order = [start]
-
-    def extend(mask: int, last: int) -> bool:
-        if mask == full:
-            return adj[last] >> start & 1 == 1 if want_cycle else True
-        if dead is not None and (mask, last) in dead:
-            return False
-        free = adj[last] & ~mask
-        while free:
+    degrees = [m.bit_count() for m in adj]
+    if closed:
+        if min(degrees) < 2:
+            return None
+        starts: range | list[int] = [0]
+    else:
+        ends = [v for v, d in enumerate(degrees) if d < 2]
+        if len(ends) > 2 or 0 in degrees:
+            return None
+        # a vertex of degree 1 ends every path; with two of them, a path
+        # from the smaller exists iff its reverse does
+        starts = ends[:1] if len(ends) == 2 else range(n)
+    # a dead state's key is mask << 5 | last: unique, as last < MEMO_LIMIT < 32
+    dead: set[int] | None = set() if n <= MEMO_LIMIT else None
+    pruning = False
+    for start in starts:
+        mask = 1 << start
+        order = [start]
+        stack = [adj[start]]  # untried successors of each vertex on the path
+        while stack:
+            free = stack[-1]
+            if not free:
+                # every extension of the path failed: (mask, last) is dead
+                stack.pop()
+                last = order.pop()
+                if dead is not None:
+                    dead.add(mask << 5 | last)
+                mask ^= 1 << last
+                pruning = True
+                continue
             bit = free & -free
-            free ^= bit
+            stack[-1] = free ^ bit
             nxt = bit.bit_length() - 1
-            order.append(nxt)
-            if extend(mask | bit, nxt):
-                return True
-            order.pop()
-        if dead is not None:
-            dead.add((mask, last))
-        return False
-
-    if extend(1 << start, start):
-        return order
+            mask |= bit
+            if mask == full:
+                if not closed or adj[nxt] >> start & 1:
+                    order.append(nxt)
+                    return order
+                pruning = True
+            elif dead is not None and mask << 5 | nxt in dead:
+                pass  # already known to fail
+            elif pruning and not _completable(adj, full ^ mask, nxt, start, closed):
+                if dead is not None:
+                    dead.add(mask << 5 | nxt)
+            else:
+                order.append(nxt)
+                stack.append(adj[nxt] & ~mask)
+                continue
+            mask ^= bit
     return None
+
+
+def _completable(adj: list[int], free: int, last: int, start: int, closed: bool) -> bool:
+    """Necessary condition for a path from last through every vertex of the
+    nonempty set free (then back to start when closed).  Every free vertex
+    must be reachable from last through free.  A free vertex with fewer
+    than two neighbours among free, last (and start when closed) can only
+    end the path, so a path allows one such vertex and a cycle none; a
+    cycle also needs start to keep a free neighbour."""
+    pool = free | 1 << last
+    allowed = 1
+    if closed:
+        if not adj[start] & free:
+            return False
+        pool |= 1 << start
+        allowed = 0
+    seen = todo = adj[last] & free
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        nbrs = adj[bit.bit_length() - 1]
+        if (nbrs & pool).bit_count() < 2:
+            if not allowed:
+                return False
+            allowed -= 1
+        new = nbrs & free & ~seen
+        seen |= new
+        todo |= new
+    return seen == free
 
 
 def _checked(witness: PathWitness, g: RowGraph) -> PathWitness:
@@ -88,24 +159,16 @@ def _checked(witness: PathWitness, g: RowGraph) -> PathWitness:
 def hamiltonian_path(g: RowGraph) -> PathWitness | None:
     if g.n == 1:
         return PathWitness((1,), False)
-    if len(g.edges) < g.n - 1:
-        return None  # too few edges for any spanning path
-    adj = _adjacency_masks(g)
-    for start in range(g.n):
-        order = _search(adj, g.n, start, want_cycle=False)
-        if order is not None:
-            return _checked(PathWitness(tuple(v + 1 for v in order), False), g)
-    return None
+    order = _search(_adjacency_masks(g), closed=False)
+    if order is None:
+        return None
+    return _checked(PathWitness(tuple(v + 1 for v in order), False), g)
 
 
 def hamiltonian_cycle(g: RowGraph) -> PathWitness | None:
     if g.n < 3:
         raise DegenerateGraph(f"cycles need at least 3 vertices, got {g.n}")
-    adj = _adjacency_masks(g)
-    if any(mask.bit_count() < 2 for mask in adj):
-        return None
-    # anchoring the start at vertex 1 kills rotational symmetry
-    order = _search(adj, g.n, 0, want_cycle=True)
+    order = _search(_adjacency_masks(g), closed=True)
     if order is None:
         return None
     return _checked(PathWitness(tuple(v + 1 for v in order), True), g)
@@ -123,11 +186,13 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
         return None if cyclic else RowPermutation.identity(1)
     if cyclic and a.n < 3:
         return None
-    g = two_row_graph(a, cyclic)
-    witness = hamiltonian_cycle(g) if cyclic else hamiltonian_path(g)
-    if witness is None:
+    # the two-row graph's adjacency masks: complements of the null masks
+    full = (1 << a.n) - 1
+    adj = [full ^ 1 << i ^ null for i, null in enumerate(row_null_masks(a, cyclic))]
+    order = _search(adj, closed=cyclic)
+    if order is None:
         return None
-    sigma = RowPermutation(witness.order)
+    sigma = RowPermutation(tuple(v + 1 for v in order))
     check = is_cyclically_square_traceable if cyclic else is_square_traceable
     if not check(permute_rows(a, sigma)):
         raise AssertionFailure(

@@ -208,20 +208,27 @@ class RowPermutation:
         return self.image[i - 1]
 
     def sign(self) -> int:
-        seen = [False] * self.n
-        sign = 1
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            length = 0
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                k = self.image[k] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        return image_sign(self.image)
+
+
+def image_sign(image) -> int:
+    """Sign (+1 or -1) of the permutation of 1..n with image[i-1] = sigma(i),
+    from the parity of its even-length cycles."""
+    n = len(image)
+    seen = [False] * n
+    sign = 1
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = image[k] - 1
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def permute_rows(a: ExactMatrix, sigma: RowPermutation) -> ExactMatrix:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionMismatch, FieldMismatch, ParseError, SingularBasis
 from .fields import FieldKind, FieldSpec, Scalar
@@ -140,7 +141,7 @@ class PairingTriple:
     def dim_w(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: k for k, e in enumerate(self.edges, start=1)}
 
@@ -148,10 +149,8 @@ class PairingTriple:
         """(k, coefficient) with q(v_i*, v_j*) = coeff * e_k*, or None off edges."""
         if i == j:
             return None
-        key = (min(i, j), max(i, j))
-        try:
-            k = self.edges.index(key) + 1
-        except ValueError:
+        k = self.edge_index.get((min(i, j), max(i, j)))
+        if k is None:
             return None
         coeff = self.spec.one if i < j else -self.spec.one
         return k, coeff

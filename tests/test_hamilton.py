@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from tworow import (
     GF2,
+    GF5,
     QQ,
     AssertionFailure,
     DegenerateGraph,
@@ -69,13 +71,45 @@ def random_graph(rng, n, p=0.5):
     return RowGraph.of(n, pairs)
 
 
+def with_leaves(rng, g, leaves):
+    """g with leaves new vertices, each joined to one earlier vertex."""
+    pairs = list(g.edges)
+    for v in range(g.n + 1, g.n + leaves + 1):
+        pairs.append((rng.randint(1, v - 1), v))
+    return RowGraph.of(g.n + leaves, pairs)
+
+
+def disjoint_union(g, h):
+    shifted = [(i + g.n, j + g.n) for i, j in h.edges]
+    return RowGraph.of(g.n + h.n, list(g.edges) + shifted)
+
+
+def hard_graphs(rng, lo):
+    """Inputs on which the search meets dead ends, so its pruning runs:
+    sparse graphs, graphs with leaves and disconnected graphs on lo..7
+    vertices."""
+    for _ in range(150):
+        yield random_graph(rng, rng.randint(lo, 7), rng.choice([0.1, 0.2, 0.3]))
+    for _ in range(100):
+        core = rng.randint(max(lo - 2, 1), 5)
+        yield with_leaves(rng, random_graph(rng, core, 0.7), rng.randint(1, 2))
+    for _ in range(100):
+        k = rng.randint(1, 6)
+        yield disjoint_union(
+            random_graph(rng, k, 0.8), random_graph(rng, rng.randint(1, 7 - k), 0.8)
+        )
+
+
 def test_path_matches_brute_force_and_is_lex_lowest():
     rng = random.Random(3)
+    graphs = []
     for _ in range(120):
         n = rng.randint(2, 7)
-        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6]))
+        graphs.append(random_graph(rng, n, rng.choice([0.2, 0.4, 0.6])))
+    graphs += [g for g in hard_graphs(rng, 2) if g.n >= 2]
+    for g in graphs:
         got = hamiltonian_path(g)
-        expect = brute_hamiltonian_path(n, set(g.edges))
+        expect = brute_hamiltonian_path(g.n, set(g.edges))
         if expect is None:
             assert got is None
         else:
@@ -85,16 +119,43 @@ def test_path_matches_brute_force_and_is_lex_lowest():
 
 def test_cycle_matches_brute_force_anchored():
     rng = random.Random(5)
+    graphs = []
     for _ in range(120):
         n = rng.randint(3, 7)
-        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        graphs.append(random_graph(rng, n, rng.choice([0.3, 0.5, 0.7])))
+    graphs += [g for g in hard_graphs(rng, 3) if g.n >= 3]
+    for g in graphs:
         got = hamiltonian_cycle(g)
-        expect = brute_hamiltonian_cycle(n, set(g.edges))
+        expect = brute_hamiltonian_cycle(g.n, set(g.edges))
         if expect is None:
             assert got is None
         else:
             assert got is not None
             assert got.order == expect
+
+
+def test_search_survives_1500_vertices():
+    # the recursive search raised RecursionError on graphs this long
+    assert hamiltonian_path(path_graph(1500)).order == tuple(range(1, 1501))
+    rng = random.Random(11)
+    labels = list(range(1, 1501))
+    rng.shuffle(labels)
+    shuffled = RowGraph.of(1500, zip(labels, labels[1:]))
+    smallest = labels if labels[0] < labels[-1] else labels[::-1]
+    assert hamiltonian_path(shuffled).order == tuple(smallest)
+    w = hamiltonian_cycle(cycle_graph(1500))
+    assert w is not None and w.order == tuple(range(1, 1501))
+
+
+def test_search_runs_under_a_low_recursion_limit():
+    g = path_graph(1500)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        w = hamiltonian_path(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert w.order == tuple(range(1, 1501))
 
 
 def test_witness_validation_helper():
@@ -140,6 +201,36 @@ def test_invertible_always_traceable(spec):
             assert is_cyclically_square_traceable(permute_rows(a, sigma_c))
 
 
+def sparse_invertible(rng, spec, n):
+    """The rows and columns of an upper-triangular matrix with nonzero
+    diagonal and n/4 nonzeros above it, shuffled independently: a
+    permutation matrix with planted entries, invertible by construction."""
+    upper = [[0] * n for _ in range(n)]
+    for i in range(n):
+        upper[i][i] = rng.randrange(1, spec.p)
+    for _ in range(n // 4):
+        i, j = sorted(rng.sample(range(n), 2))
+        upper[i][j] = rng.randrange(1, spec.p)
+    rperm, cperm = list(range(n)), list(range(n))
+    rng.shuffle(rperm)
+    rng.shuffle(cperm)
+    return ExactMatrix(spec, [[upper[rperm[i]][cperm[j]] for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("spec", [GF2, GF5])
+def test_traceable_ordering_sparse_invertible(spec):
+    # sparse two-row graphs make the search backtrack, with its memo off
+    rng = random.Random(83)
+    for _ in range(6):
+        a = sparse_invertible(rng, spec, rng.randint(40, 48))
+        sigma = traceable_ordering(a)
+        assert sigma is not None
+        assert is_square_traceable(permute_rows(a, sigma))
+        sigma_c = traceable_ordering(a, cyclic=True)
+        assert sigma_c is not None
+        assert is_cyclically_square_traceable(permute_rows(a, sigma_c))
+
+
 def test_isomorphism_examples(golden_7x7):
     p3 = path_graph(3)
     relabeled = RowGraph.of(3, [(3, 2), (2, 1)])
@@ -181,10 +272,6 @@ def test_postconditions_raise_on_invalid_search_result(monkeypatch):
         hamiltonian_path(path_graph(4))
     with pytest.raises(AssertionFailure):
         hamiltonian_cycle(cycle_graph(4))
-    monkeypatch.undo()
-    # a path witness that is not square-traceable in the matrix's own rows
-    monkeypatch.setattr(
-        hamilton, "hamiltonian_path", lambda g: PathWitness((2, 1, 3, 4), False)
-    )
+    # a row order (2, 1, 3, 4) that is not square-traceable in Id_4's rows
     with pytest.raises(AssertionFailure):
         traceable_ordering(ExactMatrix.identity(GF2, 4))

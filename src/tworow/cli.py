@@ -40,7 +40,7 @@ from .raag import (
     graph_hamiltonicity,
 )
 from .realize import realize, verify_realization
-from .rowgraph import RowGraph, opp_graph, two_row_graph
+from .rowgraph import SimplicialGraph, opp_graph, two_row_graph
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -101,24 +101,29 @@ def _track_json(track: OneTrack) -> dict:
     }
 
 
-def _render_graph(g: RowGraph, fmt: str) -> int:
+def _render_graph(g: SimplicialGraph, flavor: str, fmt: str) -> int:
+    """Write g as DOT, JSON or one text line; flavor names which graph of
+    the matrix it is: plain, cyclic or opp."""
     if fmt == "dot":
-        sys.stdout.write(g.to_dot())
+        lines = ["graph rowgraph {", f"  // flavor={flavor} n={g.n}"]
+        lines += [f"  r{i};" for i in range(1, g.n + 1)]
+        lines += [f"  r{i} -- r{j};" for i, j in g.sorted_edges]
+        lines.append("}")
+        sys.stdout.write("\n".join(lines) + "\n")
     elif fmt == "json":
         _emit(g.to_json_dict())
     else:
         edges = " ".join(f"{i}-{j}" for i, j in g.sorted_edges)
-        sys.stdout.write(f"n={g.n} flavor={g.flavor.value} edges: {edges}\n")
+        sys.stdout.write(f"n={g.n} flavor={flavor} edges: {edges}\n")
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
     a = load_matrix(args.matrix, args.field)
     if args.opp:
-        g = opp_graph(a, args.cyclic)
-    else:
-        g = two_row_graph(a, args.cyclic)
-    return _render_graph(g, args.format)
+        return _render_graph(opp_graph(a, args.cyclic), "opp", args.format)
+    flavor = "cyclic" if args.cyclic else "plain"
+    return _render_graph(two_row_graph(a, args.cyclic), flavor, args.format)
 
 
 def _block_outline_text(a: ExactMatrix, partition) -> str:

@@ -13,7 +13,8 @@ cuts states with no completion, so it never changes the witness.  Up to
 MEMO_LIMIT vertices a dead-state memo on (visited bitmask, last vertex)
 also skips states already known to fail, shared by all start vertices of a
 path search.  No recursion is involved, so any graph size is safe from the
-interpreter's recursion limit.
+interpreter's recursion limit.  The search reads a SimplicialGraph's
+adjacency masks as they are stored.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 from .errors import AssertionFailure, DegenerateGraph, NotSquare, SizeBound
 from .matrices import ExactMatrix, RowPermutation, permute_rows
 from .rowgraph import (
-    RowGraph,
+    SimplicialGraph,
     is_cyclically_square_traceable,
     is_square_traceable,
-    row_null_masks,
+    two_row_graph,
 )
 
 MEMO_LIMIT = 20
@@ -41,7 +42,7 @@ class PathWitness:
     order: tuple[int, ...]
     closed: bool
 
-    def is_valid_for(self, g: RowGraph) -> bool:
+    def is_valid_for(self, g: SimplicialGraph) -> bool:
         if sorted(self.order) != list(range(1, g.n + 1)):
             return False
         pairs = list(zip(self.order, self.order[1:]))
@@ -50,15 +51,7 @@ class PathWitness:
         return all(g.has_edge(i, j) for i, j in pairs)
 
 
-def _adjacency_masks(g: RowGraph) -> list[int]:
-    masks = [0] * g.n
-    for i, j in g.edges:
-        masks[i - 1] |= 1 << (j - 1)
-        masks[j - 1] |= 1 << (i - 1)
-    return masks
-
-
-def _search(adj: list[int], closed: bool) -> list[int] | None:
+def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
     """The lexicographically smallest Hamiltonian path (closed=False), or
     cycle anchored at vertex 0 (closed=True), of the graph with adjacency
     masks adj on vertices 0..n-1, n >= 2, as a vertex list; None if there
@@ -120,7 +113,9 @@ def _search(adj: list[int], closed: bool) -> list[int] | None:
     return None
 
 
-def _completable(adj: list[int], free: int, last: int, start: int, closed: bool) -> bool:
+def _completable(
+    adj: tuple[int, ...], free: int, last: int, start: int, closed: bool
+) -> bool:
     """Necessary condition for a path from last through every vertex of the
     nonempty set free (then back to start when closed).  Every free vertex
     must be reachable from last through free.  A free vertex with fewer
@@ -149,26 +144,26 @@ def _completable(adj: list[int], free: int, last: int, start: int, closed: bool)
     return seen == free
 
 
-def _checked(witness: PathWitness, g: RowGraph) -> PathWitness:
+def _checked(witness: PathWitness, g: SimplicialGraph) -> PathWitness:
     """Postcondition of both searches, kept under python -O."""
     if not witness.is_valid_for(g):
         raise AssertionFailure(f"search returned {witness.order}, not a valid witness")
     return witness
 
 
-def hamiltonian_path(g: RowGraph) -> PathWitness | None:
+def hamiltonian_path(g: SimplicialGraph) -> PathWitness | None:
     if g.n == 1:
         return PathWitness((1,), False)
-    order = _search(_adjacency_masks(g), closed=False)
+    order = _search(g.adj, closed=False)
     if order is None:
         return None
     return _checked(PathWitness(tuple(v + 1 for v in order), False), g)
 
 
-def hamiltonian_cycle(g: RowGraph) -> PathWitness | None:
+def hamiltonian_cycle(g: SimplicialGraph) -> PathWitness | None:
     if g.n < 3:
         raise DegenerateGraph(f"cycles need at least 3 vertices, got {g.n}")
-    order = _search(_adjacency_masks(g), closed=True)
+    order = _search(g.adj, closed=True)
     if order is None:
         return None
     return _checked(PathWitness(tuple(v + 1 for v in order), True), g)
@@ -186,10 +181,7 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
         return None if cyclic else RowPermutation.identity(1)
     if cyclic and a.n < 3:
         return None
-    # the two-row graph's adjacency masks: complements of the null masks
-    full = (1 << a.n) - 1
-    adj = [full ^ 1 << i ^ null for i, null in enumerate(row_null_masks(a, cyclic))]
-    order = _search(adj, closed=cyclic)
+    order = _search(two_row_graph(a, cyclic).adj, closed=cyclic)
     if order is None:
         return None
     sigma = RowPermutation(tuple(v + 1 for v in order))
@@ -201,15 +193,14 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
     return sigma
 
 
-def graphs_isomorphic(g: RowGraph, h: RowGraph) -> bool:
+def graphs_isomorphic(g: SimplicialGraph, h: SimplicialGraph) -> bool:
     """Edge-preserving bijection test by degree-refined backtracking."""
     if g.n > ISO_LIMIT or h.n > ISO_LIMIT:
         raise SizeBound(f"isomorphism is brute force, limited to {ISO_LIMIT} vertices")
-    if g.n != h.n or len(g.edges) != len(h.edges):
+    if g.n != h.n:
         return False
     n = g.n
-    gadj = _adjacency_masks(g)
-    hadj = _adjacency_masks(h)
+    gadj, hadj = g.adj, h.adj
     gdeg = [mask.bit_count() for mask in gadj]
     hdeg = [mask.bit_count() for mask in hadj]
     if sorted(gdeg) != sorted(hdeg):

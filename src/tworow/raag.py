@@ -11,6 +11,9 @@ Hamiltonian cycle.
 The sign convention is q(v_i*, v_j*) = +e_k* for i < j; Hamiltonicity
 questions only depend on nonvanishing, so any consistent orientation works.
 Edges are numbered in lexicographic order.
+
+Input graphs and support graphs are both rowgraph.SimplicialGraph, which
+this module re-exports; it defines no graph type of its own.
 """
 
 from __future__ import annotations
@@ -23,71 +26,13 @@ from .errors import DimensionMismatch, FieldMismatch, ParseError, SingularBasis
 from .fields import FieldKind, FieldSpec, Scalar
 from .hamilton import PathWitness, hamiltonian_cycle, hamiltonian_path
 from .matrices import ExactMatrix, RowPermutation, determinant
-from .rowgraph import GraphFlavor, RowGraph, masks_graph, null_masks
-
-
-@dataclass(frozen=True)
-class SimplicialGraph:
-    """A finite simple graph: no loops, no multi-edges, vertices 1..n."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParseError(f"graph needs at least one vertex, got {self.n}")
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise ParseError(f"bad edge ({i},{j}) for {self.n} vertices")
-
-    @staticmethod
-    def of(n: int, pairs) -> "SimplicialGraph":
-        edges = set()
-        for i, j in pairs:
-            if i == j:
-                raise ParseError(f"loop at vertex {i} is not allowed")
-            edges.add((min(i, j), max(i, j)))
-        return SimplicialGraph(n, frozenset(edges))
-
-    @property
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
-    def to_row_graph(self) -> RowGraph:
-        return RowGraph.of(self.n, self.edges, GraphFlavor.PLAIN)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.sorted_edges]}
-
-    @staticmethod
-    def from_json_dict(obj) -> "SimplicialGraph":
-        if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-            raise ParseError('graph JSON needs keys "n" and "edges"')
-        n = obj["n"]
-        if not isinstance(n, int):
-            raise ParseError(f'"n" must be an integer, got {n!r}')
-        edges = obj["edges"]
-        if not isinstance(edges, list):
-            raise ParseError('"edges" must be a list of pairs')
-        pairs = []
-        for pos, e in enumerate(edges, start=1):
-            if (
-                not isinstance(e, list)
-                or len(e) != 2
-                or not all(isinstance(v, int) for v in e)
-            ):
-                raise ParseError(f"edge #{pos}: expected a pair of integers, got {e!r}")
-            pairs.append((e[0], e[1]))
-        return SimplicialGraph.of(n, pairs)
+from .rowgraph import SimplicialGraph, non_null_graph, null_masks
 
 
 def graph_from_text(text: str) -> SimplicialGraph:
     """Parse JSON {"n":..,"edges":[[i,j],..]} or flat edge-list lines "i j"
     (1-indexed; an optional single-integer first line pins the vertex count,
-    otherwise the largest label wins)."""
+    and every edge must lie within it; otherwise the largest label wins)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -97,6 +42,7 @@ def graph_from_text(text: str) -> SimplicialGraph:
                 f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
         return SimplicialGraph.from_json_dict(obj)
+    count = None
     n = 0
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -106,9 +52,12 @@ def graph_from_text(text: str) -> SimplicialGraph:
         parts = body.split()
         if len(parts) == 1 and lineno == 1:
             try:
-                n = int(parts[0])
+                count = int(parts[0])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad vertex count {parts[0]!r}") from exc
+            if count < 1:
+                raise ParseError(f"line {lineno}: vertex count {count} is below 1")
+            n = count
             continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'i j', got {body!r}")
@@ -118,6 +67,8 @@ def graph_from_text(text: str) -> SimplicialGraph:
             raise ParseError(f"line {lineno}: non-integer vertex in {body!r}") from exc
         if i == j:
             raise ParseError(f"line {lineno}: loop at vertex {i}")
+        if count is not None and not (1 <= min(i, j) and max(i, j) <= count):
+            raise ParseError(f"line {lineno}: bad edge ({i},{j}) for {count} vertices")
         pairs.append((i, j))
         n = max(n, i, j)
     if n < 1:
@@ -221,15 +172,15 @@ def _check_basis(t: PairingTriple, basis: BasisMatrix) -> ExactMatrix:
     return a
 
 
-def _support_graph(t: PairingTriple, a: ExactMatrix) -> RowGraph:
+def _support_graph(t: PairingTriple, a: ExactMatrix) -> SimplicialGraph:
     """Support graph of an already checked basis: rows w_i, w_j are joined
     iff some edge {x, y} gives the nonzero coordinate of q(w_i, w_j), the
     2x2 minor of rows i, j on columns (x, y)."""
-    masks = null_masks(a.raw(), a.spec, [(x - 1, y - 1) for x, y in t.edges])
-    return masks_graph(masks, False, GraphFlavor.PAIRING)
+    windows = [(x - 1, y - 1) for x, y in t.edges]
+    return non_null_graph(null_masks(a.raw(), a.spec, windows))
 
 
-def basis_support_graph(t: PairingTriple, basis: BasisMatrix) -> RowGraph:
+def basis_support_graph(t: PairingTriple, basis: BasisMatrix) -> SimplicialGraph:
     """Graph on basis rows with an edge where the pairing does not vanish."""
     return _support_graph(t, _check_basis(t, basis))
 
@@ -255,9 +206,8 @@ def basis_hamiltonian_witness(
 def graph_hamiltonicity(graph: SimplicialGraph, cyclic: bool = False) -> PathWitness | None:
     """Direct Hamiltonian search on the graph itself; the comparison target
     for the basis-level equivalence."""
-    g = graph.to_row_graph()
     if cyclic:
-        if g.n < 3:
+        if graph.n < 3:
             return None
-        return hamiltonian_cycle(g)
-    return hamiltonian_path(g)
+        return hamiltonian_cycle(graph)
+    return hamiltonian_path(graph)

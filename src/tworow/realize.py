@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from .errors import AssertionFailure
 from .fields import GF2
 from .matrices import ExactMatrix
-from .raag import SimplicialGraph
-from .rowgraph import two_row_graph
+from .rowgraph import SimplicialGraph, two_row_graph
 
 
 @dataclass(frozen=True)
@@ -83,14 +82,9 @@ def realize(graph: SimplicialGraph) -> RealizationResult:
 
 
 def verify_realization(graph: SimplicialGraph, result: RealizationResult) -> bool:
-    """True iff the matrix's two-row graph matches the input edge set under
-    the identity row/vertex correspondence."""
+    """True iff the matrix is 0/1 and its two-row graph is the input graph
+    under the identity row/vertex correspondence."""
     a = result.a
-    if a.m != graph.n:
-        return False
     if any(v not in (0, 1) for row in a.raw() for v in row):
         return False
-    if graph.n == 1:
-        return True
-    g = two_row_graph(a, cyclic=False)
-    return set(g.edges) == set(graph.edges)
+    return two_row_graph(a) == graph

@@ -1,9 +1,15 @@
-"""Two-row graphs of a matrix and the null-connectedness relation.
+"""The one graph type, SimplicialGraph, and the two-row graphs of a matrix.
 
-Vertices are row indices 1..m.  Rows i and j are null-connected when every
-2x2 minor they span on consecutive columns is singular; the cyclic variant
-additionally requires the wraparound minor on columns (n, 1) to vanish.  The
-two-row graph joins exactly the pairs that are not null-connected.
+A SimplicialGraph stores one adjacency bitmask per vertex: the kernel below
+produces such masks and the Hamiltonian search reads them, so the edge set
+is built only when asked for.  Two-row graphs, opposite graphs, pairing
+support graphs and input graphs are all SimplicialGraphs.
+
+Vertices of a two-row graph are row indices 1..m.  Rows i and j are
+null-connected when every 2x2 minor they span on consecutive columns is
+singular; the cyclic variant additionally requires the wraparound minor on
+columns (n, 1) to vanish.  The two-row graph joins exactly the pairs that
+are not null-connected.
 
 All row pairs at once come from one kernel, null_masks, which takes any set
 of column windows; the pairing support graphs of raag use it with a graph's
@@ -12,60 +18,107 @@ edges as the windows.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
-from .errors import DegenerateMatrix, IndexOutOfRange, NotSquare
+from .errors import DegenerateMatrix, IndexOutOfRange, NotSquare, ParseError
 from .fields import FieldKind, FieldSpec
 from .matrices import ExactMatrix
 
 
-class GraphFlavor(enum.Enum):
-    PLAIN = "plain"
-    CYCLIC = "cyclic"
-    OPP = "opp"
-    PAIRING = "pairing"
-
-
 @dataclass(frozen=True)
-class RowGraph:
-    """A finite simple graph on vertices 1..n with normalized edge pairs."""
+class SimplicialGraph:
+    """A finite simple graph on vertices 1..n: no loops, no multi-edges.
+
+    Bit j-1 of adj[i-1] is set iff {i, j} is an edge.  The constructor
+    checks the masks; SimplicialGraph.of builds a graph from edge pairs.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
-    flavor: GraphFlavor = field(default=GraphFlavor.PLAIN, compare=False)
+    adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise IndexOutOfRange(f"edge ({i},{j}) invalid on 1..{self.n}")
+        n, adj = self.n, tuple(self.adj)
+        object.__setattr__(self, "adj", adj)  # a list would not hash
+        if n < 1:
+            raise ParseError(f"graph needs at least one vertex, got {n}")
+        if len(adj) != n:
+            raise ParseError(f"{len(adj)} adjacency masks for {n} vertices")
+        for i, mask in enumerate(adj):
+            if mask < 0 or mask >> n or mask >> i & 1:
+                raise ParseError(f"vertex {i + 1}: loop or vertex outside 1..{n}")
+            if any(adj[j] >> i & 1 != mask >> j & 1 for j in range(n)):
+                raise ParseError(f"vertex {i + 1}: adjacency masks are not symmetric")
+
+    @classmethod
+    def _from_masks(cls, adj: tuple[int, ...]) -> "SimplicialGraph":
+        """Trusted constructor: adj holds valid symmetric masks, unchecked."""
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n", len(adj))
+        object.__setattr__(g, "adj", adj)
+        return g
 
     @staticmethod
-    def of(n: int, pairs, flavor: GraphFlavor = GraphFlavor.PLAIN) -> "RowGraph":
-        norm = frozenset((min(i, j), max(i, j)) for i, j in pairs)
-        return RowGraph(n, norm, flavor)
+    def of(n: int, pairs) -> "SimplicialGraph":
+        if n < 1:
+            raise ParseError(f"graph needs at least one vertex, got {n}")
+        adj = [0] * n
+        for i, j in pairs:
+            if i == j:
+                raise ParseError(f"loop at vertex {i} is not allowed")
+            i, j = min(i, j), max(i, j)
+            if i < 1 or j > n:
+                raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
+            adj[i - 1] |= 1 << (j - 1)
+            adj[j - 1] |= 1 << (i - 1)
+        return SimplicialGraph._from_masks(tuple(adj))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as pairs (i, j) with i < j."""
+        return frozenset(
+            (i + 1, j + 1)
+            for i, mask in enumerate(self.adj)
+            for j in range(i + 1, self.n)
+            if mask >> j & 1
+        )
 
     @property
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        n = self.n
+        return 1 <= i <= n and 1 <= j <= n and self.adj[i - 1] >> (j - 1) & 1 == 1
 
     @property
     def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
+        return all(mask.bit_count() == self.n - 1 for mask in self.adj)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [[i, j] for i, j in self.sorted_edges]}
 
-    def to_dot(self) -> str:
-        lines = ["graph rowgraph {", f"  // flavor={self.flavor.value} n={self.n}"]
-        lines += [f"  r{i};" for i in range(1, self.n + 1)]
-        lines += [f"  r{i} -- r{j};" for i, j in self.sorted_edges]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    @staticmethod
+    def from_json_dict(obj) -> "SimplicialGraph":
+        if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+            raise ParseError('graph JSON needs keys "n" and "edges"')
+        n = obj["n"]
+        if not isinstance(n, int):
+            raise ParseError(f'"n" must be an integer, got {n!r}')
+        edges = obj["edges"]
+        if not isinstance(edges, list):
+            raise ParseError('"edges" must be a list of pairs')
+        pairs = []
+        for pos, e in enumerate(edges, start=1):
+            if (
+                not isinstance(e, list)
+                or len(e) != 2
+                or not all(isinstance(v, int) for v in e)
+            ):
+                raise ParseError(f"edge #{pos}: expected a pair of integers, got {e!r}")
+            pairs.append((e[0], e[1]))
+        return SimplicialGraph.of(n, pairs)
 
 
 def _vanishes_fn(a: ExactMatrix):
@@ -164,17 +217,13 @@ def null_masks(raw, spec: FieldSpec, windows) -> list[int]:
     return masks
 
 
-def masks_graph(masks: list[int], null: bool, flavor: GraphFlavor) -> RowGraph:
-    """The graph on rows 1..m joining i, j where bit j-1 of masks[i-1] is
-    set (null=True) or clear (null=False)."""
-    m = len(masks)
-    edges = frozenset(
-        (i + 1, j + 1)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if (masks[i] >> j & 1) == null
+def non_null_graph(null: list[int]) -> SimplicialGraph:
+    """The graph joining rows i != j whose bit is clear in null_masks: the
+    complement of null-connectedness."""
+    full = (1 << len(null)) - 1
+    return SimplicialGraph._from_masks(
+        tuple(full ^ 1 << i ^ mask for i, mask in enumerate(null))
     )
-    return RowGraph(m, edges, flavor)
 
 
 def row_null_masks(a: ExactMatrix, cyclic: bool = False) -> list[int]:
@@ -186,19 +235,18 @@ def row_null_masks(a: ExactMatrix, cyclic: bool = False) -> list[int]:
     return null_masks(a.raw(), a.spec, windows)
 
 
-def two_row_graph(a: ExactMatrix, cyclic: bool = False) -> RowGraph:
+def two_row_graph(a: ExactMatrix, cyclic: bool = False) -> SimplicialGraph:
     """The (cyclic) two-row graph of a: rows adjacent iff not null-connected.
 
     Single-column matrices have no 2x2 windows, so every row pair is
     null-connected and the graph is edgeless; Id_1 gives the 1-vertex path.
     """
-    flavor = GraphFlavor.CYCLIC if cyclic else GraphFlavor.PLAIN
-    return masks_graph(row_null_masks(a, cyclic), False, flavor)
+    return non_null_graph(row_null_masks(a, cyclic))
 
 
-def opp_graph(a: ExactMatrix, cyclic: bool = False) -> RowGraph:
+def opp_graph(a: ExactMatrix, cyclic: bool = False) -> SimplicialGraph:
     """Null-connectedness as the edge relation; complements two_row_graph."""
-    return masks_graph(row_null_masks(a, cyclic), True, GraphFlavor.OPP)
+    return SimplicialGraph._from_masks(tuple(row_null_masks(a, cyclic)))
 
 
 def is_square_traceable(a: ExactMatrix) -> bool:

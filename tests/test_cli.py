@@ -23,6 +23,15 @@ def test_graph_dot(capsys):
     assert out.startswith("graph ")
     assert "r1 -- r2;" in out
     assert "r1 -- r3;" not in out and "r6 -- r7;" not in out
+    code, out, _ = run_cli(capsys, "graph", "--matrix", ID4)
+    assert code == 0
+    assert out == (
+        "graph rowgraph {\n"
+        "  // flavor=plain n=4\n"
+        "  r1;\n  r2;\n  r3;\n  r4;\n"
+        "  r1 -- r2;\n  r2 -- r3;\n  r3 -- r4;\n"
+        "}\n"
+    )
 
 
 def test_graph_json_and_opp(capsys):
@@ -41,6 +50,16 @@ def test_graph_text(capsys):
     code, out, _ = run_cli(capsys, "graph", "--matrix", ID4, "--format", "text")
     assert code == 0
     assert out == "n=4 flavor=plain edges: 1-2 2-3 3-4\n"
+    code, out, _ = run_cli(
+        capsys, "graph", "--matrix", ID4, "--format", "text", "--cyclic"
+    )
+    assert code == 0
+    assert out == "n=4 flavor=cyclic edges: 1-2 1-4 2-3 3-4\n"
+    code, out, _ = run_cli(
+        capsys, "graph", "--matrix", ID4, "--format", "text", "--opp", "--cyclic"
+    )
+    assert code == 0
+    assert out == "n=4 flavor=opp edges: 1-3 2-4\n"
 
 
 def test_blocks_json_is_canonical(capsys):

@@ -12,7 +12,7 @@ from tworow import (
     ExactMatrix,
     NotSquare,
     PathWitness,
-    RowGraph,
+    SimplicialGraph,
     RowPermutation,
     SizeBound,
     graphs_isomorphic,
@@ -30,23 +30,23 @@ from .oracles import brute_hamiltonian_cycle, brute_hamiltonian_path
 
 
 def path_graph(n):
-    return RowGraph.of(n, [(i, i + 1) for i in range(1, n)])
+    return SimplicialGraph.of(n, [(i, i + 1) for i in range(1, n)])
 
 
 def cycle_graph(n):
-    return RowGraph.of(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+    return SimplicialGraph.of(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
 def star_k13():
-    return RowGraph.of(4, [(1, 2), (1, 3), (1, 4)])
+    return SimplicialGraph.of(4, [(1, 2), (1, 3), (1, 4)])
 
 
 def test_path_examples():
     w = hamiltonian_path(path_graph(5))
     assert w == PathWitness((1, 2, 3, 4, 5), False)
     assert hamiltonian_path(star_k13()) is None
-    assert hamiltonian_path(RowGraph.of(1, [])) == PathWitness((1,), False)
-    assert hamiltonian_path(RowGraph.of(3, [])) is None
+    assert hamiltonian_path(SimplicialGraph.of(1, [])) == PathWitness((1,), False)
+    assert hamiltonian_path(SimplicialGraph.of(3, [])) is None
 
 
 def test_cycle_examples():
@@ -55,7 +55,7 @@ def test_cycle_examples():
     assert w.is_valid_for(cycle_graph(4))
     assert hamiltonian_cycle(path_graph(4)) is None
     with pytest.raises(DegenerateGraph):
-        hamiltonian_cycle(RowGraph.of(2, [(1, 2)]))
+        hamiltonian_cycle(SimplicialGraph.of(2, [(1, 2)]))
 
 
 def test_counterexample_graph_has_path(singular_3x3):
@@ -68,7 +68,7 @@ def random_graph(rng, n, p=0.5):
     pairs = [
         (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p
     ]
-    return RowGraph.of(n, pairs)
+    return SimplicialGraph.of(n, pairs)
 
 
 def with_leaves(rng, g, leaves):
@@ -76,12 +76,12 @@ def with_leaves(rng, g, leaves):
     pairs = list(g.edges)
     for v in range(g.n + 1, g.n + leaves + 1):
         pairs.append((rng.randint(1, v - 1), v))
-    return RowGraph.of(g.n + leaves, pairs)
+    return SimplicialGraph.of(g.n + leaves, pairs)
 
 
 def disjoint_union(g, h):
     shifted = [(i + g.n, j + g.n) for i, j in h.edges]
-    return RowGraph.of(g.n + h.n, list(g.edges) + shifted)
+    return SimplicialGraph.of(g.n + h.n, list(g.edges) + shifted)
 
 
 def hard_graphs(rng, lo):
@@ -140,7 +140,7 @@ def test_search_survives_1500_vertices():
     rng = random.Random(11)
     labels = list(range(1, 1501))
     rng.shuffle(labels)
-    shuffled = RowGraph.of(1500, zip(labels, labels[1:]))
+    shuffled = SimplicialGraph.of(1500, zip(labels, labels[1:]))
     smallest = labels if labels[0] < labels[-1] else labels[::-1]
     assert hamiltonian_path(shuffled).order == tuple(smallest)
     w = hamiltonian_cycle(cycle_graph(1500))
@@ -233,7 +233,7 @@ def test_traceable_ordering_sparse_invertible(spec):
 
 def test_isomorphism_examples(golden_7x7):
     p3 = path_graph(3)
-    relabeled = RowGraph.of(3, [(3, 2), (2, 1)])
+    relabeled = SimplicialGraph.of(3, [(3, 2), (2, 1)])
     assert graphs_isomorphic(p3, relabeled)
     assert not graphs_isomorphic(p3, cycle_graph(3))
     assert graphs_isomorphic(
@@ -250,7 +250,7 @@ def test_isomorphism_random_relabelings():
         g = random_graph(rng, n)
         image = list(range(1, n + 1))
         rng.shuffle(image)
-        h = RowGraph.of(n, [(image[i - 1], image[j - 1]) for i, j in g.edges])
+        h = SimplicialGraph.of(n, [(image[i - 1], image[j - 1]) for i, j in g.edges])
         assert graphs_isomorphic(g, h)
     assert not graphs_isomorphic(path_graph(4), star_k13())
     assert not graphs_isomorphic(path_graph(4), path_graph(5))
@@ -259,7 +259,7 @@ def test_isomorphism_random_relabelings():
 def test_isomorphism_degree_refinement_not_fooled():
     # same degree multisets, non-isomorphic: C6 vs two triangles
     c6 = cycle_graph(6)
-    two_triangles = RowGraph.of(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    two_triangles = SimplicialGraph.of(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     assert not graphs_isomorphic(c6, two_triangles)
 
 

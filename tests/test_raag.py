@@ -10,7 +10,6 @@ from tworow import (
     DimensionMismatch,
     ExactMatrix,
     FieldMismatch,
-    GraphFlavor,
     ParseError,
     RowPermutation,
     SimplicialGraph,
@@ -60,6 +59,18 @@ def test_graph_text_parsing():
     assert g3.n == 5 and g3.sorted_edges == [(1, 2)]
     g4 = graph_from_text("# comment\n1 2\n")
     assert g4.n == 2
+    # a count line fixes n: edges must lie within it, and it must be >= 1
+    for text, where in [
+        ("2\n1 3\n", "line 2: bad edge"),
+        ("3\n1 2\n0 2\n", "line 3: bad edge"),
+        ("-4\n1 2\n", "line 1"),
+        ("0\n", "line 1"),
+    ]:
+        with pytest.raises(ParseError, match=where):
+            graph_from_text(text)
+    with pytest.raises(ParseError, match="bad edge"):
+        graph_from_text('{"n": 2, "edges": [[1, 3]]}')
+    assert graph_from_text("2\n1 2\n") == SimplicialGraph.of(2, [(1, 2)])
     with pytest.raises(ParseError, match="line 2"):
         graph_from_text("1 2\n3\n")
     with pytest.raises(ParseError):
@@ -140,7 +151,6 @@ def test_support_graph_identity_basis():
         b = BasisMatrix(ExactMatrix.identity(GF2, gamma.n))
         g = basis_support_graph(t, b)
         assert set(g.edges) == set(gamma.edges)
-        assert g.flavor is GraphFlavor.PAIRING
 
 
 @pytest.mark.parametrize("spec", [GF3, QQ])

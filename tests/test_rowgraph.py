@@ -6,12 +6,15 @@ import pytest
 from tworow import (
     GF2,
     QQ,
+    BasisMatrix,
     DegenerateMatrix,
     ExactMatrix,
     FieldSpec,
-    GraphFlavor,
     IndexOutOfRange,
-    RowGraph,
+    ParseError,
+    SimplicialGraph,
+    basis_support_graph,
+    cup_pairing,
     is_cyclically_square_traceable,
     is_square_traceable,
     null_connected,
@@ -20,8 +23,6 @@ from tworow import (
     RowPermutation,
     two_row_graph,
 )
-from tworow.hamilton import _adjacency_masks
-
 from .conftest import ALL_SPECS, random_matrix
 from .oracles import brute_graph_edges, brute_null_connected
 
@@ -52,8 +53,6 @@ def test_golden_graphs(golden_7x7):
     assert set(g.edges) == complete_edges(7) - {(1, 3), (6, 7)}
     gc = two_row_graph(golden_7x7, cyclic=True)
     assert set(gc.edges) == complete_edges(7) - {(1, 3), (6, 7)}
-    assert g.flavor is GraphFlavor.PLAIN
-    assert gc.flavor is GraphFlavor.CYCLIC
 
 
 def test_null_connected_index_errors(golden_7x7):
@@ -168,27 +167,64 @@ def test_traceable_matches_graph_adjacency():
 
 
 def test_row_graph_helpers():
-    g = RowGraph.of(4, [(2, 1), (3, 4)])
+    g = SimplicialGraph.of(4, [(2, 1), (3, 4)])
     assert g.sorted_edges == [(1, 2), (3, 4)]
+    assert g.edges == frozenset({(1, 2), (3, 4)})
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert not g.has_edge(1, 3)
-    assert _adjacency_masks(g)[0].bit_count() == 1  # degree of vertex 1
+    # vertices outside 1..n are never adjacent; adj[-1] must not wrap around
+    assert not g.has_edge(0, 1) and not g.has_edge(1, 0)
+    assert not g.has_edge(4, 5) and not g.has_edge(1, g.n + 1)
+    assert g.adj == (0b10, 0b1, 0b1000, 0b100)
+    assert g.adj[0].bit_count() == 1  # degree of vertex 1
     assert not g.is_complete
-    assert RowGraph.of(3, complete_edges(3)).is_complete
+    assert SimplicialGraph.of(3, complete_edges(3)).is_complete
+    assert SimplicialGraph.of(1, []).is_complete
     doc = g.to_json_dict()
     assert doc == {"n": 4, "edges": [[1, 2], [3, 4]]}
-    dot = g.to_dot()
-    assert "r1 -- r2;" in dot and "r3 -- r4;" in dot and dot.startswith("graph ")
+    assert SimplicialGraph(4, g.adj) == g
+    assert SimplicialGraph(4, list(g.adj)) == g
+    assert hash(SimplicialGraph(4, list(g.adj))) == hash(g)
 
 
 def test_row_graph_validation():
-    with pytest.raises(IndexOutOfRange):
-        RowGraph.of(2, [(1, 3)])
-    with pytest.raises(IndexOutOfRange):
-        RowGraph.of(2, [(1, 1)])
+    with pytest.raises(ParseError):
+        SimplicialGraph.of(2, [(1, 3)])
+    with pytest.raises(ParseError):
+        SimplicialGraph.of(2, [(1, 1)])
+    with pytest.raises(ParseError):
+        SimplicialGraph.of(2, [(0, 1)])
+    with pytest.raises(ParseError):
+        SimplicialGraph.of(0, [])
+    # the direct constructor checks the masks the same way
+    with pytest.raises(ParseError, match="symmetric"):
+        SimplicialGraph(3, (0b010, 0b000, 0b000))
+    with pytest.raises(ParseError, match="loop"):
+        SimplicialGraph(2, (0b11, 0b01))
+    with pytest.raises(ParseError, match="outside"):
+        SimplicialGraph(2, (0b110, 0b001))
+    with pytest.raises(ParseError, match="outside"):
+        SimplicialGraph(2, (-2, 0b01))
+    with pytest.raises(ParseError):
+        SimplicialGraph(3, (0b10, 0b01))
+    with pytest.raises(ParseError):
+        SimplicialGraph(0, ())
 
 
-def test_flavor_not_part_of_equality():
-    g1 = RowGraph.of(3, [(1, 2)], GraphFlavor.PLAIN)
-    g2 = RowGraph.of(3, [(1, 2)], GraphFlavor.PAIRING)
-    assert g1 == g2
+def test_equality_ignores_how_a_graph_was_built():
+    for n in (1, 2, 5):
+        path = [(i, i + 1) for i in range(1, n)]
+        identity = ExactMatrix.identity(GF2, n)
+        built = [
+            two_row_graph(identity),
+            SimplicialGraph.of(n, [(j, i) for i, j in reversed(path)]),
+            SimplicialGraph.from_json_dict({"n": n, "edges": [list(e) for e in path]}),
+            basis_support_graph(
+                cup_pairing(SimplicialGraph.of(n, path), GF2), BasisMatrix(identity)
+            ),
+        ]
+        for g in built:
+            assert g == built[0] and hash(g) == hash(built[0]), n
+            assert g.edges == frozenset(path), n
+        opp = opp_graph(identity)
+        assert opp.edges == frozenset(complete_edges(n) - set(path)), n

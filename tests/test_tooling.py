@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import tworow
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "tworow"
 
 
@@ -18,3 +20,10 @@ def test_no_assert_statements_in_package():
         ]
     assert sorted(SRC.glob("*.py")), f"no sources under {SRC}"
     assert found == []
+
+
+def test_public_names_resolve():
+    # a stale entry would only fail on `from tworow import *`
+    missing = [name for name in tworow.__all__ if not hasattr(tworow, name)]
+    assert missing == []
+    assert len(set(tworow.__all__)) == len(tworow.__all__)

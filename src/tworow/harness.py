@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import AssertionFailure, ParseError, SizeMismatch
 from .fields import FieldSpec, is_prime
 from .hamilton import hamiltonian_cycle, hamiltonian_path
-from .matrices import ExactMatrix, _det_gf2_packed, _det_mod_p
+from .matrices import ExactMatrix, _eliminate, _eliminate_gf2
 from .rowgraph import two_row_graph
 
 
@@ -97,13 +97,13 @@ def sample_gl(n: int, q: int, rng: random.Random) -> ExactMatrix:
     if q == 2:
         while True:
             packed = [rng.getrandbits(n) for _ in range(n)]
-            if _det_gf2_packed(list(packed), n):
+            if _eliminate_gf2(packed, n)[1]:
                 return ExactMatrix._from_raw(
                     spec, tuple(tuple(row >> c & 1 for c in range(n)) for row in packed)
                 )
     while True:
         rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)]
-        if _det_mod_p(rows, q):
+        if _eliminate(rows, q)[1]:
             return ExactMatrix._from_raw(spec, tuple(rows))
 
 

@@ -2,6 +2,12 @@
 
 Rows and columns are 1-indexed throughout the public API; entry(i, j) is the
 entry of row i in column j.  Matrices are immutable after construction.
+
+determinant and rank are one elimination core behind a field dispatch:
+_eliminate runs on int rows, modulo p over GF(p) and fraction-free
+(Bareiss) over Q once _integer_rows has cleared each row's denominators,
+and _eliminate_gf2 is its twin on rows packed into ints over GF(2).  Both
+return (rank, det); harness.sample_gl calls them on the rows it draws.
 """
 
 from __future__ import annotations
@@ -258,158 +264,116 @@ def wrap_minor(a: ExactMatrix, i: int, j: int) -> Scalar:
     return a.entry(i, n) * a.entry(j, 1) - a.entry(i, 1) * a.entry(j, n)
 
 
-def alternating_square_coefficient(a: ExactMatrix, k: int, i: int, j: int) -> Scalar:
-    """Coefficient of e_i ^ e_j in (Lambda^2 a) applied to e_k ^ e_{k+1}.
-
-    Computed from the column images a(e_k), a(e_{k+1}); agrees with
-    consecutive_minor(a, i, j, k) for all valid indices.
-    """
-    if not a.is_square:
-        raise NotSquare("alternating square is defined for square matrices here")
-    if not i < j:
-        raise IndexOutOfRange("need i < j for a basis coefficient")
-    if not 1 <= k < a.n:
-        raise IndexOutOfRange(f"column window {k} outside 1..{a.n - 1}")
-    x_i, x_j = a.entry(i, k), a.entry(j, k)
-    y_i, y_j = a.entry(i, k + 1), a.entry(j, k + 1)
-    return x_i * y_j - x_j * y_i
-
-
-def _pack_gf2_rows(raw) -> list[int]:
-    packed = []
-    for row in raw:
-        word = 0
-        for j, v in enumerate(row):
-            if v:
-                word |= 1 << j
-        packed.append(word)
-    return packed
-
-
-def _det_gf2_packed(packed: list[int], n: int) -> int:
-    rows = list(packed)
-    for c in range(n):
-        bit = 1 << c
-        piv = None
-        for r in range(c, n):
-            if rows[r] & bit:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        rows[c], rows[piv] = rows[piv], rows[c]
-        prow = rows[c]
-        for r in range(c + 1, n):
-            if rows[r] & bit:
-                rows[r] ^= prow
-    return 1
-
-
-def _det_mod_p(rows, p: int) -> int:
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    det = 1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if mat[r][c] % p:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        pivot = mat[c][c] % p
-        det = det * pivot % p
-        inv = pow(pivot, -1, p)
-        for r in range(c + 1, n):
-            f = mat[r][c] * inv % p
-            if f:
-                top = mat[c]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], top)]
-    return det % p
-
-
-def _det_bareiss_int(rows) -> int:
-    """Fraction-free elimination on an integer matrix; exact divisions only."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            piv = None
-            for r in range(k + 1, n):
-                if mat[r][k]:
-                    piv = r
-                    break
-            if piv is None:
-                return 0
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        pkk = mat[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = mat[i], mat[k]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pkk - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
-    return sign * mat[n - 1][n - 1]
-
-
-def _det_rational(raw) -> Fraction:
+def _integer_rows(raw) -> tuple[list[list[int]], int]:
+    """Rows of Fractions as integer rows, each multiplied by the lcm of its
+    denominators, and scale, the product of those multipliers."""
+    rows = []
     scale = 1
-    mat = []
     for row in raw:
         d = lcm(*(f.denominator for f in row))
         scale *= d
-        mat.append([int(f * d) for f in row])
-    return Fraction(_det_bareiss_int(mat), scale)
+        rows.append([f.numerator * (d // f.denominator) for f in row])
+    return rows, scale
 
 
-def determinant(a: ExactMatrix) -> Scalar:
-    """Exact determinant: bit-packed over GF(2), modular elimination over
-    GF(p), fraction-free (Bareiss) elimination over Q."""
-    if not a.is_square:
-        raise NotSquare(f"determinant of a {a.m}x{a.n} matrix")
+def _eliminate(rows, p: int) -> tuple[int, int]:
+    """(rank, det) of int rows by forward elimination: modulo p for p > 0
+    (entries must lie in [0, p)), fraction-free (Bareiss) over the integers
+    for p = 0.  Columns without a pivot are skipped, so any shape works;
+    det is 0 unless the matrix is square and of full rank.
+
+    Below a pivot in column c only the columns right of c are updated; the
+    rest is never read again.  Over the integers every updated entry is a
+    minor of the input, so the division by the previous pivot is exact;
+    that divisor carries over skipped columns.
+    """
+    mat = [list(row) for row in rows]
+    m, n = len(mat), len(mat[0])
+    r = 0
+    sign = det = prev = 1
+    for c in range(n):
+        for piv in range(r, m):
+            if mat[piv][c]:
+                break
+        else:
+            continue
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            sign = -sign
+        top = mat[r]
+        pivot = top[c]
+        c1 = c + 1
+        tail = top[c1:]
+        if p:
+            det = det * pivot % p
+            neg_inv = p - pow(pivot, -1, p)
+            for i in range(r + 1, m):
+                row = mat[i]
+                f = row[c] * neg_inv % p
+                if f:
+                    row[c1:] = [(x + f * y) % p for x, y in zip(row[c1:], tail)]
+        else:
+            for i in range(r + 1, m):
+                row = mat[i]
+                f = row[c]
+                row[c1:] = [(x * pivot - f * y) // prev for x, y in zip(row[c1:], tail)]
+            det = prev = pivot
+        r += 1
+        if r == m:
+            break
+    if r < n or m != n:
+        return r, 0
+    return r, sign * det % p if p else sign * det
+
+
+def _eliminate_gf2(words, n: int) -> tuple[int, int]:
+    """(rank, det) over GF(2) of rows packed into the low n bits of ints:
+    the bit-packed twin of _eliminate.  Each nonzero row in turn is a
+    pivot on its lowest set bit and is xored into the later rows holding
+    that bit, so rows never swap; over GF(2) neither a swap nor the
+    column order changes det."""
+    rows = list(words)
+    m = len(rows)
+    r = 0
+    for i in range(m):
+        top = rows[i]
+        if top:
+            low = top & -top
+            for j in range(i + 1, m):
+                if rows[j] & low:
+                    rows[j] ^= top
+            r += 1
+    return r, int(r == m == n)
+
+
+def _rank_det(a: ExactMatrix) -> tuple[int, object]:
+    """(rank, raw determinant) of a, by the elimination its field calls for."""
     raw = a.raw()
     spec = a.spec
     if spec.kind is FieldKind.GF2:
-        return spec.scalar(_det_gf2_packed(_pack_gf2_rows(raw), a.n))
+        words = []
+        for row in raw:
+            word = 0
+            for v in row:
+                word = word << 1 | v
+            words.append(word)
+        return _eliminate_gf2(words, a.n)
     if spec.kind is FieldKind.GFP:
-        return spec.scalar(_det_mod_p(raw, spec.p))
-    return spec.scalar(_det_rational(raw))
+        return _eliminate(raw, spec.p)
+    rows, scale = _integer_rows(raw)
+    r, det = _eliminate(rows, 0)
+    return r, Fraction(det, scale)
+
+
+def determinant(a: ExactMatrix) -> Scalar:
+    """Exact determinant: bit-packed elimination over GF(2), modular
+    elimination over GF(p), fraction-free (Bareiss) elimination over Q."""
+    if not a.is_square:
+        raise NotSquare(f"determinant of a {a.m}x{a.n} matrix")
+    return a.spec.scalar(_rank_det(a)[1])
 
 
 def rank(a: ExactMatrix) -> int:
-    """Rank by exact elimination over the matrix's own field."""
-    spec = a.spec
-    mat = [list(r) for r in a.raw()]
-    r = 0
-    for c in range(a.n):
-        piv = None
-        for i in range(r, a.m):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        mat_piv = mat[r]
-        if spec.kind is FieldKind.RATIONAL:
-            for i in range(r + 1, a.m):
-                if mat[i][c]:
-                    f = mat[i][c] / mat_piv[c]
-                    mat[i] = [x - f * y for x, y in zip(mat[i], mat_piv)]
-        else:
-            inv = pow(mat_piv[c], -1, spec.p)
-            for i in range(r + 1, a.m):
-                if mat[i][c]:
-                    f = mat[i][c] * inv % spec.p
-                    mat[i] = [(x - f * y) % spec.p for x, y in zip(mat[i], mat_piv)]
-        r += 1
-        if r == a.m:
-            break
-    return r
+    """Rank by the same exact elimination as determinant; over Q each row is
+    first scaled to integers, which keeps the rank."""
+    return _rank_det(a)[0]

@@ -67,7 +67,9 @@ def graph_from_text(text: str) -> SimplicialGraph:
             raise ParseError(f"line {lineno}: non-integer vertex in {body!r}") from exc
         if i == j:
             raise ParseError(f"line {lineno}: loop at vertex {i}")
-        if count is not None and not (1 <= min(i, j) and max(i, j) <= count):
+        if min(i, j) < 1:
+            raise ParseError(f"line {lineno}: bad edge ({i},{j}): vertices start at 1")
+        if count is not None and max(i, j) > count:
             raise ParseError(f"line {lineno}: bad edge ({i},{j}) for {count} vertices")
         pairs.append((i, j))
         n = max(n, i, j)

@@ -20,11 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
-from .errors import DegenerateMatrix, IndexOutOfRange, NotSquare, ParseError
+from .errors import DegenerateMatrix, IndexOutOfRange, NotSquare, ParseError, SizeBound
 from .fields import FieldKind, FieldSpec
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, _integer_rows
+
+# the largest vertex count SimplicialGraph.of accepts: its n masks of n bits
+# then take at most 2 MiB
+MAX_VERTICES = 4096
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,8 @@ class SimplicialGraph:
     def of(n: int, pairs) -> "SimplicialGraph":
         if n < 1:
             raise ParseError(f"graph needs at least one vertex, got {n}")
+        if n > MAX_VERTICES:
+            raise SizeBound(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
         adj = [0] * n
         for i, j in pairs:
             if i == j:
@@ -156,10 +162,7 @@ def _projective_classes(raw, spec: FieldSpec):
     denominators.  Two nonzero pairs span a singular 2x2 minor exactly
     when their keys agree."""
     if spec.kind is FieldKind.RATIONAL:
-        rows = []
-        for row in raw:
-            d = lcm(*(f.denominator for f in row))
-            rows.append([f.numerator * (d // f.denominator) for f in row])
+        rows = _integer_rows(raw)[0]
 
         def key(a, b):
             g = gcd(a, b)

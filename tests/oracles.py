@@ -54,6 +54,35 @@ def naive_determinant(a: ExactMatrix):
     return total % a.spec.p
 
 
+def brute_rank(a: ExactMatrix) -> int:
+    """Largest k with a nonzero k x k minor, each by naive_determinant."""
+    raw = a.raw()
+    for k in range(min(a.m, a.n), 0, -1):
+        for rows in itertools.combinations(range(a.m), k):
+            for cols in itertools.combinations(range(a.n), k):
+                sub = ExactMatrix(a.spec, [[raw[i][j] for j in cols] for i in rows])
+                if naive_determinant(sub):
+                    return k
+    return 0
+
+
+def wedge_coefficient(a: ExactMatrix, k: int, i: int, j: int):
+    """Coefficient of e_i ^ e_j (1-based rows i != j) in the alternating
+    square c_k ^ c_{k+1} of columns k and k+1, collected from the full
+    expansion sum_{r,s} a[r][k] a[s][k+1] e_r ^ e_s; a plain value."""
+    raw = a.raw()
+    total = Fraction(0) if a.spec.kind is FieldKind.RATIONAL else 0
+    for r in range(a.m):
+        for s in range(a.m):
+            if {r + 1, s + 1} != {i, j}:
+                continue
+            term = raw[r][k - 1] * raw[s][k]
+            total += term if (r + 1, s + 1) == (i, j) else -term
+    if a.spec.kind is FieldKind.RATIONAL:
+        return total
+    return total % a.spec.p
+
+
 def determinant_generic(a: ExactMatrix) -> Scalar:
     """Reference determinant: textbook partial-pivot elimination on Scalars.
 

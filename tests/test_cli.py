@@ -208,6 +208,10 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2 and err
     code, _, err = run_cli(capsys, "det", "--matrix", GOLDEN, "--field", "gf(3)")
     assert code == 2 and err
+    huge = tmp_path / "huge.txt"
+    huge.write_text("4097\n1 2\n")
+    code, out, err = run_cli(capsys, "raag", "--graph", str(huge))
+    assert code == 2 and out == "" and "above the bound 4096" in err
 
 
 def test_unknown_subcommand(capsys):

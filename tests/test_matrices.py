@@ -18,7 +18,6 @@ from tworow import (
     ParseError,
     RowPermutation,
     SizeMismatch,
-    alternating_square_coefficient,
     canonical_json,
     consecutive_minor,
     determinant,
@@ -30,7 +29,13 @@ from tworow import (
 from tworow.fields import FieldSpec, Scalar
 
 from .conftest import ALL_SPECS, random_matrix
-from .oracles import determinant_generic, naive_determinant, perm_parity
+from .oracles import (
+    brute_rank,
+    determinant_generic,
+    naive_determinant,
+    perm_parity,
+    wedge_coefficient,
+)
 
 
 def test_construction_and_entry():
@@ -107,24 +112,27 @@ def test_minor_formulas():
         consecutive_minor(a, 1, 2, 3)
     with pytest.raises(IndexOutOfRange):
         wrap_minor(a, 2, 2)
+    i3 = ExactMatrix.identity(GF3, 3)
+    assert consecutive_minor(i3, 1, 2, 1) == GF3.one
+    assert consecutive_minor(i3, 1, 3, 1) == GF3.zero
+    assert consecutive_minor(i3, 2, 3, 2) == GF3.one
 
 
 def test_alternating_square_matches_minor():
+    """consecutive_minor(a, i, j, k) is the e_i ^ e_j coefficient of the
+    alternating square of columns k and k+1, on square and wide inputs."""
     rng = random.Random(101)
-    a = random_matrix(rng, FieldSpec.gf(7), 4, 4)
-    for k in range(1, 4):
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                assert alternating_square_coefficient(a, k, i, j) == consecutive_minor(
-                    a, i, j, k
-                )
-    i3 = ExactMatrix.identity(GF3, 3)
-    assert alternating_square_coefficient(i3, 1, 1, 2) == GF3.one
-    assert alternating_square_coefficient(i3, 1, 1, 3) == GF3.zero
-    with pytest.raises(NotSquare):
-        alternating_square_coefficient(ExactMatrix(GF2, [[1, 0]]), 1, 1, 2)
+    for spec, m, n in ((FieldSpec.gf(7), 4, 4), (QQ, 3, 5)):
+        a = random_matrix(rng, spec, m, n)
+        for k in range(1, n):
+            for i in range(1, m + 1):
+                for j in range(1, m + 1):
+                    if i != j:
+                        assert consecutive_minor(a, i, j, k).value == wedge_coefficient(
+                            a, k, i, j
+                        )
     with pytest.raises(IndexOutOfRange):
-        alternating_square_coefficient(i3, 1, 2, 2)
+        consecutive_minor(ExactMatrix.identity(GF3, 3), 2, 2, 1)
 
 
 def test_determinant_not_square():
@@ -139,7 +147,20 @@ def test_determinant_gf2_exhaustive_3x3():
         assert determinant(a).value == naive_determinant(a)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS)
+BIG_PRIME = FieldSpec.gf(2147483647)
+
+
+def random_entry(rng: random.Random, spec, density: float = 1.0):
+    """A random raw entry, nonzero with probability about density; over Q
+    it may be a fraction, so that rows need their denominators cleared."""
+    if rng.random() >= density:
+        return 0
+    if spec is QQ:
+        return Fraction(rng.choice([1, -1, 2, 3, -5, 7]), rng.choice([1, 1, 2, 3]))
+    return rng.randrange(1, spec.p)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [BIG_PRIME])
 def test_determinant_matches_naive_random(spec):
     rng = random.Random(7)
     for n in (1, 2, 3, 4, 5):
@@ -148,6 +169,17 @@ def test_determinant_matches_naive_random(spec):
             expected = naive_determinant(a)
             assert determinant(a).value == expected
             assert determinant_generic(a).value == expected
+    # larger sparse inputs: zero pivots force row swaps, some are singular
+    singular = 0
+    for n in range(6, 21):
+        for _ in range(2):
+            a = ExactMatrix(
+                spec, [[random_entry(rng, spec, 0.3) for _ in range(n)] for _ in range(n)]
+            )
+            d = determinant(a)
+            assert d == determinant_generic(a)
+            singular += not d
+    assert 0 < singular < 30
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -162,19 +194,35 @@ def test_determinant_row_swap_sign(spec):
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS)
+@pytest.mark.parametrize("spec", ALL_SPECS + [BIG_PRIME])
 def test_rank_properties(spec):
     rng = random.Random(29)
     for _ in range(10):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = random_matrix(rng, spec, m, n)
         r = rank(a)
-        assert 0 <= r <= min(m, n)
+        assert 0 <= r <= min(m, n) and r == brute_rank(a)
         if m == n:
             assert (r == n) == bool(determinant(a))
     ones = ExactMatrix(spec, [[1, 1], [1, 1]])
     assert rank(ones) == 1
     assert rank(ExactMatrix.zeros(spec, 3, 2)) == 0
+    # pivots in the first and the last column of a wide matrix, and its transpose
+    assert rank(ExactMatrix(spec, [[1, 0, 0, 0, 0], [0, 0, 0, 0, 1]])) == 2
+    assert rank(ExactMatrix(spec, [[1, 0], [0, 0], [0, 0], [0, 0], [0, 1]])) == 2
+    # products U V with inner size k have rank at most k: wide, tall and
+    # rank-deficient inputs against the largest nonzero minor
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        k = rng.randint(0, min(m, n))
+        u = [[random_entry(rng, spec, 0.7) for _ in range(k)] for _ in range(m)]
+        v = [[random_entry(rng, spec, 0.7) for _ in range(n)] for _ in range(k)]
+        uv = [[sum(u[i][t] * v[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+        a = ExactMatrix(spec, uv)
+        r = rank(a)
+        assert r == brute_rank(a) and r <= k
+        if m == n:
+            assert (r == n) == bool(determinant(a))
 
 
 def test_json_round_trip(golden_7x7):

@@ -14,6 +14,7 @@ from tworow import (
     RowPermutation,
     SimplicialGraph,
     SingularBasis,
+    SizeBound,
     basis_hamiltonian_witness,
     basis_support_graph,
     consecutive_minor,
@@ -24,6 +25,7 @@ from tworow import (
     hamiltonian_path,
     pair_vectors,
 )
+from tworow.rowgraph import MAX_VERTICES
 
 from .conftest import ALL_SPECS, random_invertible
 
@@ -65,6 +67,9 @@ def test_graph_text_parsing():
         ("3\n1 2\n0 2\n", "line 3: bad edge"),
         ("-4\n1 2\n", "line 1"),
         ("0\n", "line 1"),
+        # without a count line a vertex below 1 still names its line
+        ("0 1\n", "line 1"),
+        ("1 2\n-1 3\n", "line 2"),
     ]:
         with pytest.raises(ParseError, match=where):
             graph_from_text(text)
@@ -79,6 +84,16 @@ def test_graph_text_parsing():
         graph_from_text("")
     round_trip = SimplicialGraph.from_json_dict(g.to_json_dict())
     assert round_trip == g
+
+
+def test_graph_size_bound():
+    # inputs just past the bound, which stays above the 1500-vertex graphs
+    # of the search tests
+    assert MAX_VERTICES == 4096
+    assert graph_from_text("4096\n").n == 4096
+    for text in ["4097\n", '{"n": 4097, "edges": []}', "1 4097\n"]:
+        with pytest.raises(SizeBound, match="above the bound 4096"):
+            graph_from_text(text)
 
 
 def test_cup_pairing_shapes():

@@ -1,11 +1,17 @@
 """Source-level checks on the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import tworow
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tworow"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tworow"
 
 
 def test_no_assert_statements_in_package():
@@ -27,3 +33,28 @@ def test_public_names_resolve():
     missing = [name for name in tworow.__all__ if not hasattr(tworow, name)]
     assert missing == []
     assert len(set(tworow.__all__)) == len(tworow.__all__)
+
+
+# seeded output each script must print for the arguments below
+SCRIPT_OUTPUT = {
+    "completeness_table.py": (
+        "n\\q          2          3\n"
+        "-------------------------\n"
+        "2     1.000000   1.000000\n"
+        "3     0.400000   0.600000\n"
+    ),
+    "hamiltonicity_sweep.py": "all 20 samples traceable\n",
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPT_OUTPUT))
+def test_scripts_run(script):
+    # both scripts drive sample_gl through run_experiment
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script),
+         "--sizes", "2", "3", "--orders", "2", "3", "--trials", "5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert SCRIPT_OUTPUT[script] in done.stdout

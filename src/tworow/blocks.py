@@ -5,7 +5,9 @@ consecutive columns (cyclically consecutive when flagged) such that every
 entry is nonzero, the submatrix has at least two rows and two columns, and
 the null-connectedness graph restricted to I is connected.  Such blocks have
 one-dimensional row space, are pairwise disjoint as entry sets, and induce a
-unique partition of the matrix into blocks and 1x1 singletons.
+unique partition of the matrix into blocks and 1x1 singletons.  That
+partition is computed once, as an owner grid naming the block of each cell,
+and the partition, the tracks and the CLI outline all read it.
 
 A complete 1-track is an abutting chain of members (nonzero 1x1 cells or
 minors inside a single block) covering all n columns, with no two consecutive
@@ -66,6 +68,9 @@ class BlockPartition:
     blocks: tuple[OneBlock, ...]
     nonzero_singletons: tuple[tuple[int, int], ...]
     zero_singletons: tuple[tuple[int, int], ...]
+    # owner[i-1][c-1] is the index in blocks of the block holding cell
+    # (i, c), or -1 for a singleton
+    owner: tuple[tuple[int, ...], ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,24 +133,21 @@ def string_of(a: ExactMatrix, sigma: RowPermutation) -> TrackString:
     return TrackString(sigma, entries)
 
 
-def _nonzero_runs(mask: list[bool], cyclic: bool) -> list[tuple[int, int]]:
-    """Maximal all-true runs as (start0, length), length >= 2 only."""
-    n = len(mask)
-    if cyclic and all(mask):
+def _nonzero_runs(bits: int, n: int, cyclic: bool) -> list[tuple[int, int]]:
+    """Maximal runs of set bits in the n-bit mask as (start0, length),
+    length >= 2 only."""
+    if cyclic and bits == (1 << n) - 1:
         return [(0, n)]
+    starts = bits & ~(bits << 1)
+    ends = bits & ~(bits >> 1)
     runs = []
-    start = None
-    for k in range(n):
-        if mask[k]:
-            if start is None:
-                start = k
-        else:
-            if start is not None:
-                runs.append((start, k - start))
-                start = None
-    if start is not None:
-        runs.append((start, n - start))
-    if cyclic and len(runs) >= 2 and mask[0] and mask[-1]:
+    while starts:
+        start = (starts & -starts).bit_length() - 1
+        end = (ends & -ends).bit_length() - 1
+        starts &= starts - 1
+        ends &= ends - 1
+        runs.append((start, end - start + 1))
+    if cyclic and len(runs) >= 2 and bits & 1 and bits >> (n - 1) & 1:
         # merge the run touching column n into the one starting at column 1
         first = runs.pop(0)
         last = runs.pop()
@@ -157,36 +159,41 @@ def _grow_block(
     rows: int,
     start0: int,
     length: int,
-    nonzero,
+    bits: list[int],
     masks: list[int],
     n: int,
     cyclic: bool,
 ) -> tuple[tuple[int, ...], int, int]:
     """Close a valid seed (rows as a 0-based bitmask) under one-step
     extensions; the fixpoint is the unique maximal block containing it."""
-    m = len(nonzero)
+    m = len(bits)
+    full = (1 << n) - 1
     changed = True
     while changed:
         changed = False
-        members = [r for r in range(m) if rows >> r & 1]
+        common = full
+        for r in range(m):
+            if rows >> r & 1:
+                common &= bits[r]
         # widen columns while every current row stays nonzero
         while length < n:
             left = (start0 - 1) % n
-            if (cyclic or start0 > 0) and all(nonzero[r][left] for r in members):
+            if (cyclic or start0 > 0) and common >> left & 1:
                 start0, length = left, length + 1
                 changed = True
                 continue
             right = (start0 + length) % n
-            if (cyclic or start0 + length < n) and all(nonzero[r][right] for r in members):
+            if (cyclic or start0 + length < n) and common >> right & 1:
                 length += 1
                 changed = True
                 continue
             break
-        cols = [(start0 + t) % n for t in range(length)]
+        span = ((1 << length) - 1) << start0
+        span = (span | span >> n) & full
         for cand in range(m):
             if rows >> cand & 1 or not masks[cand] & rows:
                 continue
-            if all(nonzero[cand][c] for c in cols):
+            if bits[cand] & span == span:
                 rows |= 1 << cand
                 changed = True
     if cyclic and length == n:
@@ -194,81 +201,78 @@ def _grow_block(
     return tuple(r + 1 for r in range(m) if rows >> r & 1), start0, length
 
 
-def find_one_blocks(a: ExactMatrix, cyclic: bool = False) -> list[OneBlock]:
-    """All maximal 1-blocks, sorted by smallest row then start column.
+def _one_blocks(
+    a: ExactMatrix, cyclic: bool
+) -> tuple[tuple[OneBlock, ...], tuple[tuple[int, ...], ...]]:
+    """All maximal 1-blocks, sorted by smallest row then start column, and
+    the m x n owner grid: owner[i][c] is the index in that tuple of the
+    block holding cell (i+1, c+1), or -1 when the cell is a singleton.
 
     Seeds are (null-connected row pair, maximal all-nonzero column run);
     each seed is grown to its fixpoint under one-step extensions.  Distinct
-    blocks are disjoint, so every seed lands in exactly one block.
+    blocks are disjoint, so a seed grows into the one block holding its
+    first cell: a seed whose first cell is owned already is skipped, and
+    every other seed yields a new block.
     """
     if a.n < 2:
         raise DegenerateMatrix("1-blocks need at least two columns")
     m, n = a.m, a.n
     masks = row_null_masks(a, cyclic)
-    nonzero = [[v != 0 for v in row] for row in a.raw()]
-    nonzero_bits = [sum(1 << k for k, v in enumerate(row) if v) for row in nonzero]
+    bits = [sum(1 << k for k, v in enumerate(row) if v) for row in a.raw()]
     wrap = 1 | 1 << (n - 1)
-    found: dict[tuple, OneBlock] = {}
-    cell_cover: set[tuple[int, int]] = set()
+    owner = [[-1] * n for _ in range(m)]
+    found: list[OneBlock] = []
+
+    def own(block: OneBlock, idx: int) -> None:
+        for r in block.rows:
+            row = owner[r - 1]
+            for c in block.columns(n):
+                row[c - 1] = idx
+
     for i in range(m):
         for j in range(i + 1, m):
             if not masks[i] >> j & 1:
                 continue
-            both = nonzero_bits[i] & nonzero_bits[j]
+            both = bits[i] & bits[j]
             if not both & both >> 1 and not (cyclic and both & wrap == wrap):
                 continue  # no two adjacent columns nonzero in both rows
-            mask = [nonzero[i][k] and nonzero[j][k] for k in range(n)]
-            for start0, length in _nonzero_runs(mask, cyclic):
-                if all(
-                    (r, (start0 + t) % n) in cell_cover
-                    for r in (i + 1, j + 1)
-                    for t in range(length)
-                ):
+            for start0, length in _nonzero_runs(both, n, cyclic):
+                if owner[i][start0] >= 0:
                     continue  # seed already inside a found block
                 rows, s0, ln = _grow_block(
-                    1 << i | 1 << j, start0, length, nonzero, masks, n, cyclic
+                    1 << i | 1 << j, start0, length, bits, masks, n, cyclic
                 )
-                key = (rows, s0, ln)
-                if key not in found:
-                    block = OneBlock(rows, s0 + 1, ln, cyclic)
-                    found[key] = block
-                    for r in rows:
-                        for t in range(ln):
-                            cell_cover.add((r, (s0 + t) % n))
-    return sorted(found.values(), key=lambda b: (b.rows[0], b.col_start))
+                block = OneBlock(rows, s0 + 1, ln, cyclic)
+                own(block, len(found))
+                found.append(block)
+    found.sort(key=lambda b: (b.rows[0], b.col_start))
+    for idx, block in enumerate(found):
+        own(block, idx)
+    return tuple(found), tuple(map(tuple, owner))
+
+
+def find_one_blocks(a: ExactMatrix, cyclic: bool = False) -> list[OneBlock]:
+    """All maximal 1-blocks, sorted by smallest row then start column."""
+    return list(_one_blocks(a, cyclic)[0])
 
 
 def block_partition(a: ExactMatrix, cyclic: bool = False) -> BlockPartition:
-    blocks = find_one_blocks(a, cyclic)
-    covered = set()
-    for b in blocks:
-        covered |= b.cells(a.n)
+    blocks, owner = _one_blocks(a, cyclic)
     raw = a.raw()
     nonzero_single = []
     zero_single = []
-    for i in range(1, a.m + 1):
-        for j in range(1, a.n + 1):
-            if (i, j) in covered:
-                continue
-            if raw[i - 1][j - 1]:
-                nonzero_single.append((i, j))
-            else:
-                zero_single.append((i, j))
-    return BlockPartition(tuple(blocks), tuple(nonzero_single), tuple(zero_single))
-
-
-def _cell_block_index(a: ExactMatrix, blocks) -> dict[tuple[int, int], int]:
-    cellmap: dict[tuple[int, int], int] = {}
-    for idx, b in enumerate(blocks):
-        for cell in b.cells(a.n):
-            cellmap[cell] = idx
-    return cellmap
+    for i, row in enumerate(owner):
+        for j, b in enumerate(row):
+            if b < 0:
+                single = nonzero_single if raw[i][j] else zero_single
+                single.append((i + 1, j + 1))
+    return BlockPartition(blocks, tuple(nonzero_single), tuple(zero_single), owner)
 
 
 def _canonical_track(cells: list, image: tuple[int, ...], cyclic: bool, n: int) -> OneTrack:
     """Greedy maximal same-block runs over the string's cells.
 
-    cells[p] is the block index containing (image[p], p+1), or None.
+    cells[p] is the index of the block holding (image[p], p+1), or -1.
     """
     members = []
     if not cyclic:
@@ -276,16 +280,14 @@ def _canonical_track(cells: list, image: tuple[int, ...], cyclic: bool, n: int) 
         while pos < n:
             b = cells[pos]
             end = pos
-            if b is not None:
+            if b >= 0:
                 while end + 1 < n and cells[end + 1] == b:
                     end += 1
             rows = tuple(sorted(image[pos : end + 1]))
             members.append(TrackMember(rows, pos + 1, end - pos + 1))
             pos = end + 1
         return OneTrack(tuple(members), False)
-    merged = [
-        cells[p] is not None and cells[p] == cells[(p + 1) % n] for p in range(n)
-    ]
+    merged = [cells[p] >= 0 and cells[p] == cells[(p + 1) % n] for p in range(n)]
     if all(merged):
         return OneTrack(
             (TrackMember(tuple(sorted(image)), 1, n),), True
@@ -308,10 +310,9 @@ def track_of_string(
     """The canonical complete track of the string picked by sigma: extend a
     run while consecutive string cells share one block, else cut."""
     string_of(a, sigma)  # validates shape and nonzero entries
-    blocks = find_one_blocks(a, cyclic) if a.n >= 2 else []
-    cellmap = _cell_block_index(a, blocks)
+    owner = _one_blocks(a, cyclic)[1] if a.n >= 2 else ((-1,),)
     image = sigma.image
-    cells = [cellmap.get((image[p], p + 1)) for p in range(a.n)]
+    cells = [owner[r - 1][p] for p, r in enumerate(image)]
     return _canonical_track(cells, image, cyclic, a.n)
 
 
@@ -370,29 +371,36 @@ def complete_tracks(
         raise SizeBound(f"n={a.n} exceeds the track enumeration bound {max_size}")
     n = a.n
     raw = a.raw()
-    blocks = find_one_blocks(a, cyclic) if n >= 2 else []
-    cellmap = _cell_block_index(a, blocks)
-    col_rows = [
-        [r + 1 for r in range(n) if raw[r][c]] for c in range(n)
-    ]
+    owner = _one_blocks(a, cyclic)[1] if n >= 2 else ((-1,),)
+    col_bits = [sum(1 << r for r in range(n) if raw[r][c]) for c in range(n)]
     tracks: dict[OneTrack, None] = {}
-    image = [0] * n
-    used = [False] * n
-
-    def assign(c: int) -> None:
-        if c == n:
-            cells = [cellmap.get((image[p], p + 1)) for p in range(n)]
-            track = _canonical_track(cells, tuple(image), cyclic, n)
-            tracks.setdefault(track)
-            return
-        for r in col_rows[c]:
-            if not used[r - 1]:
-                used[r - 1] = True
-                image[c] = r
-                assign(c + 1)
-                used[r - 1] = False
-
-    assign(0)
+    # depth-first over columns, smallest free nonzero row first: stack[c]
+    # holds the rows column c has yet to try, image the rows picked so far
+    # and cells their owners
+    image: list[int] = []
+    cells: list[int] = []
+    used = 0
+    stack = [col_bits[0]]
+    while stack:
+        free = stack[-1] & ~used
+        if not free:
+            stack.pop()
+            if image:
+                used ^= 1 << (image.pop() - 1)
+                cells.pop()
+            continue
+        bit = free & -free
+        stack[-1] = free ^ bit
+        r = bit.bit_length() - 1
+        c = len(image)
+        if c + 1 < n:
+            image.append(r + 1)
+            cells.append(owner[r][c])
+            used |= bit
+            stack.append(col_bits[c + 1])
+            continue
+        track = _canonical_track(cells + [owner[r][c]], (*image, r + 1), cyclic, n)
+        tracks.setdefault(track)
     return list(tracks)
 
 

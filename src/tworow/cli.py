@@ -133,32 +133,24 @@ def _block_outline_text(a: ExactMatrix, partition) -> str:
     cells = [[str(v) for v in row] for row in a.raw()]
     width = max(len(s) for row in cells for s in row)
     cw = width + 2
-    owner: dict[tuple[int, int], int] = {}
-    for idx, b in enumerate(partition.blocks):
-        for cell in b.cells(n):
-            owner[cell] = idx
-
-    def block_at(i: int, j: int):
-        return owner.get((i, j))
-
+    owner = partition.owner
     height = 2 * a.m + 1
     span = n * (cw + 1) + 1
     horiz: set[tuple[int, int]] = set()
     vert: set[tuple[int, int]] = set()
-    for i in range(1, a.m + 1):
-        for j in range(1, n + 1):
-            b = block_at(i, j)
-            if b is None:
+    for i, row in enumerate(owner):
+        for j, b in enumerate(row):
+            if b < 0:
                 continue
-            top, bottom = 2 * i - 2, 2 * i
-            left, right = (j - 1) * (cw + 1), j * (cw + 1)
-            if block_at(i - 1, j) != b:
+            top, bottom = 2 * i, 2 * i + 2
+            left, right = j * (cw + 1), (j + 1) * (cw + 1)
+            if i == 0 or owner[i - 1][j] != b:
                 horiz.update((top, c) for c in range(left, right + 1))
-            if block_at(i + 1, j) != b:
+            if i + 1 == a.m or owner[i + 1][j] != b:
                 horiz.update((bottom, c) for c in range(left, right + 1))
-            if block_at(i, j - 1) != b:
+            if j == 0 or row[j - 1] != b:
                 vert.update((r, left) for r in range(top, bottom + 1))
-            if block_at(i, j + 1) != b:
+            if j + 1 == n or row[j + 1] != b:
                 vert.update((r, right) for r in range(top, bottom + 1))
     canvas = [[" "] * span for _ in range(height)]
     for r, c in horiz:

@@ -1,5 +1,5 @@
-"""Exact Hamiltonian path/cycle search on small graphs, row-ordering
-decisions for square matrices, and brute-force graph isomorphism.
+"""Exact Hamiltonian path/cycle search on small graphs and row-ordering
+decisions for square matrices.
 
 One iterative depth-first search on an explicit stack serves paths (start
 vertices tried in order) and cycles (anchored at vertex 1).  It extends the
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AssertionFailure, DegenerateGraph, NotSquare, SizeBound
+from .errors import AssertionFailure, DegenerateGraph, NotSquare
 from .matrices import ExactMatrix, RowPermutation, permute_rows
 from .rowgraph import (
     SimplicialGraph,
@@ -31,7 +31,6 @@ from .rowgraph import (
 )
 
 MEMO_LIMIT = 20
-ISO_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -191,37 +190,3 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
             f"row order {sigma.image} is not square-traceable", matrix=a
         )
     return sigma
-
-
-def graphs_isomorphic(g: SimplicialGraph, h: SimplicialGraph) -> bool:
-    """Edge-preserving bijection test by degree-refined backtracking."""
-    if g.n > ISO_LIMIT or h.n > ISO_LIMIT:
-        raise SizeBound(f"isomorphism is brute force, limited to {ISO_LIMIT} vertices")
-    if g.n != h.n:
-        return False
-    n = g.n
-    gadj, hadj = g.adj, h.adj
-    gdeg = [mask.bit_count() for mask in gadj]
-    hdeg = [mask.bit_count() for mask in hadj]
-    if sorted(gdeg) != sorted(hdeg):
-        return False
-    image = [-1] * n
-
-    def assign(v: int, used: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used >> w & 1 or hdeg[w] != gdeg[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (gadj[v] >> u & 1) != (hadj[w] >> image[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                if assign(v + 1, used | 1 << w):
-                    return True
-        return False
-
-    return assign(0, 0)

@@ -49,10 +49,19 @@ class SimplicialGraph:
             raise ParseError(f"graph needs at least one vertex, got {n}")
         if len(adj) != n:
             raise ParseError(f"{len(adj)} adjacency masks for {n} vertices")
+        # the transpose, from the set bits of each mask's low n bits: bit j
+        # of into[i] is set iff bit i of adj[j] is
+        into = [0] * n
+        for j, mask in enumerate(adj):
+            rest = mask & (1 << n) - 1
+            while rest:
+                bit = rest & -rest
+                into[bit.bit_length() - 1] |= 1 << j
+                rest ^= bit
         for i, mask in enumerate(adj):
             if mask < 0 or mask >> n or mask >> i & 1:
                 raise ParseError(f"vertex {i + 1}: loop or vertex outside 1..{n}")
-            if any(adj[j] >> i & 1 != mask >> j & 1 for j in range(n)):
+            if into[i] != mask:
                 raise ParseError(f"vertex {i + 1}: adjacency masks are not symmetric")
 
     @classmethod

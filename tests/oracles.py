@@ -8,7 +8,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from tworow import ExactMatrix, FieldKind, NotSquare, Scalar
+from tworow import (
+    ExactMatrix,
+    FieldKind,
+    NotSquare,
+    Scalar,
+    SimplicialGraph,
+    SizeBound,
+)
 
 
 def _is_zero_fn(a: ExactMatrix):
@@ -238,3 +245,40 @@ def nonzero_strings(a: ExactMatrix) -> list[tuple[int, ...]]:
         if all(not zero(raw[image[c] - 1][c]) for c in range(n)):
             out.append(image)
     return out
+
+
+ISO_LIMIT = 10
+
+
+def graphs_isomorphic(g: SimplicialGraph, h: SimplicialGraph) -> bool:
+    """Edge-preserving bijection test by degree-refined backtracking."""
+    if g.n > ISO_LIMIT or h.n > ISO_LIMIT:
+        raise SizeBound(f"isomorphism is brute force, limited to {ISO_LIMIT} vertices")
+    if g.n != h.n:
+        return False
+    n = g.n
+    gadj, hadj = g.adj, h.adj
+    gdeg = [mask.bit_count() for mask in gadj]
+    hdeg = [mask.bit_count() for mask in hadj]
+    if sorted(gdeg) != sorted(hdeg):
+        return False
+    image = [-1] * n
+
+    def assign(v: int, used: int) -> bool:
+        if v == n:
+            return True
+        for w in range(n):
+            if used >> w & 1 or hdeg[w] != gdeg[v]:
+                continue
+            ok = True
+            for u in range(v):
+                if (gadj[v] >> u & 1) != (hadj[w] >> image[u] & 1):
+                    ok = False
+                    break
+            if ok:
+                image[v] = w
+                if assign(v + 1, used | 1 << w):
+                    return True
+        return False
+
+    return assign(0, 0)

@@ -98,10 +98,14 @@ def test_blocks_match_brute_force(spec, cyclic):
 @pytest.mark.parametrize("cyclic", [False, True])
 def test_block_invariants_random(cyclic):
     rng = random.Random(11)
+    # the pair {1,2} finds its block first, but the {1,3} block sorts first
+    matrices = [ExactMatrix(QQ, [[1, 1, 0, 1, 1], [0, 0, 0, 1, 1], [1, 1, 0, 0, 0]])]
     for _ in range(60):
         spec = rng.choice(ALL_SPECS)
         m, n = rng.randint(2, 6), rng.randint(2, 6)
-        a = random_matrix(rng, spec, m, n)
+        matrices.append(random_matrix(rng, spec, m, n))
+    for a in matrices:
+        spec, m, n = a.spec, a.m, a.n
         blocks = find_one_blocks(a, cyclic)
         assert blocks == find_one_blocks(a, cyclic)  # deterministic
         order = [(b.rows[0], b.col_start) for b in blocks]
@@ -115,10 +119,10 @@ def test_block_invariants_random(cyclic):
             seen_cells |= cells
         part = block_partition(a, cyclic)
         cover = dict()
-        for b in part.blocks:
+        for k, b in enumerate(part.blocks):
             for cell in b.cells(n):
                 assert cell not in cover
-                cover[cell] = "block"
+                cover[cell] = k
         raw = a.raw()
         for i, j in part.nonzero_singletons:
             assert cell_free(cover, i, j)
@@ -131,6 +135,12 @@ def test_block_invariants_random(cyclic):
             + len(part.zero_singletons)
         )
         assert total == m * n
+        # the owner grid names each cell's block index, -1 for a singleton
+        assert {
+            (i, c): k
+            for i, row in enumerate(part.owner, start=1)
+            for c, k in enumerate(row, start=1)
+        } == {cell: -1 if k == "single" else k for cell, k in cover.items()}
 
 
 def cell_free(cover, i, j):
@@ -269,7 +279,8 @@ def test_string_partition_into_tracks(cyclic):
         for image in strings:
             tr = track_of_string(a, RowPermutation(image), cyclic)
             by_track.setdefault(tr, []).append(image)
-        assert set(tracks) == set(by_track)
+        # strings come in lexicographic order: tracks in first-seen order
+        assert tracks == list(by_track)
         # member-wise bijection count: every track's string fiber is full
         for tr, members in by_track.items():
             expected = math.prod(math.factorial(len(m.rows)) for m in tr.members)
@@ -283,6 +294,8 @@ def test_complete_tracks_bound():
     with pytest.raises(SizeBound):
         det_by_tracks(ExactMatrix.identity(GF2, 9))
     assert det_by_tracks(ExactMatrix.identity(GF2, 9), max_size=9) == GF2.one
+    # the enumeration is iterative: one column per level, no recursion limit
+    assert det_by_tracks(ExactMatrix.identity(GF2, 1200), max_size=1200) == GF2.one
     with pytest.raises(NotSquare):
         complete_tracks(ExactMatrix(GF2, [[1, 0]]))
 

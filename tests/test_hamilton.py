@@ -15,7 +15,6 @@ from tworow import (
     SimplicialGraph,
     RowPermutation,
     SizeBound,
-    graphs_isomorphic,
     hamiltonian_cycle,
     hamiltonian_path,
     is_cyclically_square_traceable,
@@ -26,7 +25,11 @@ from tworow import (
 )
 
 from .conftest import ALL_SPECS, random_invertible
-from .oracles import brute_hamiltonian_cycle, brute_hamiltonian_path
+from .oracles import (
+    brute_hamiltonian_cycle,
+    brute_hamiltonian_path,
+    graphs_isomorphic,
+)
 
 
 def path_graph(n):

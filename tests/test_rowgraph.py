@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,13 @@ def test_row_graph_validation():
         SimplicialGraph(3, (0b10, 0b01))
     with pytest.raises(ParseError):
         SimplicialGraph(0, ())
+    # the symmetry check reads only set bits: O(n + E) on the largest path
+    path = SimplicialGraph.of(4096, [(i, i + 1) for i in range(1, 4096)])
+    t0 = time.perf_counter()
+    assert SimplicialGraph(4096, path.adj) == path
+    with pytest.raises(ParseError, match="symmetric"):
+        SimplicialGraph(4096, path.adj[:-1] + (0,))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_equality_ignores_how_a_graph_was_built():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from tworow import canonical_json
@@ -153,18 +154,35 @@ def test_tracks_enumeration_and_bound(capsys, tmp_path):
     assert doc["tracks"][0]["sum"] == "1"
     code, _, err = run_cli(capsys, "tracks", "--matrix", ID4, "--max-enum", "3")
     assert code == 2 and err
+    # the whole stdout on the golden matrix, plain and cyclic, by its digest
+    for extra, count, digest in [
+        ((), 18, "9535f444cba13dac73314a6163abe070dc50cfac6a786bda5679c808d6d6f20a"),
+        (
+            ("--cyclic",),
+            15,
+            "5243537f002c97c620d9998e5927d7db7910aacb0354cb10dc88d7f00eb52797",
+        ),
+    ]:
+        code, out, err = run_cli(capsys, "tracks", "--matrix", GOLDEN, *extra)
+        assert code == 0 and err == ""
+        assert json.loads(out)["count"] == count
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_det_methods(capsys):
-    for method, path, want in [
-        ("elimination", GOLDEN, "1"),
-        ("tracks", GOLDEN, "1"),
-        ("tracks", SINGULAR, "0"),
+    for method, path, want, extra in [
+        ("elimination", GOLDEN, "1", ()),
+        ("tracks", GOLDEN, "1", ()),
+        ("tracks", SINGULAR, "0", ()),
+        ("tracks", GOLDEN, "1", ("--cyclic",)),
+        ("tracks", SINGULAR, "0", ("--cyclic",)),
+        ("tracks", ID4, "1", ("--cyclic",)),
     ]:
-        code, out, _ = run_cli(capsys, "det", "--matrix", path, "--method", method)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["determinant"] == want and doc["method"] == method
+        code, out, err = run_cli(
+            capsys, "det", "--matrix", path, "--method", method, *extra
+        )
+        assert code == 0 and err == ""
+        assert out == '{"determinant":"%s","method":"%s"}\n' % (want, method)
 
 
 def test_det_csv_rational(capsys, tmp_path):

@@ -13,14 +13,16 @@ A complete 1-track is an abutting chain of members (nonzero 1x1 cells or
 minors inside a single block) covering all n columns, with no two consecutive
 members inside a common block.  Grouping the nonzero strings of the
 determinant expansion by their canonical track shows each track with a
-multi-row member sums to zero, which re-derives the determinant.
+multi-row member sums to zero, which re-derives the determinant.  One
+enumeration walks those strings in lexicographic order with their signed
+products (placing row r flips the sign once per used row of larger index);
+the track list, the track sums and det_by_tracks all read it.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DegenerateMatrix,
@@ -30,8 +32,8 @@ from .errors import (
     SizeMismatch,
     ZeroEntryInString,
 )
-from .fields import FieldKind, Scalar
-from .matrices import ExactMatrix, RowPermutation, image_sign
+from .fields import Scalar
+from .matrices import ExactMatrix, RowPermutation
 from .rowgraph import row_null_masks
 
 DEFAULT_TRACK_BOUND = 8
@@ -269,39 +271,29 @@ def block_partition(a: ExactMatrix, cyclic: bool = False) -> BlockPartition:
     return BlockPartition(blocks, tuple(nonzero_single), tuple(zero_single), owner)
 
 
-def _canonical_track(cells: list, image: tuple[int, ...], cyclic: bool, n: int) -> OneTrack:
+def _canonical_track(cells: list, image: list | tuple, cyclic: bool, n: int) -> OneTrack:
     """Greedy maximal same-block runs over the string's cells.
 
     cells[p] is the index of the block holding (image[p], p+1), or -1.
+    merged[p] says column p+2 continues the run of column p+1.  The plain
+    case is the cyclic one with no wrap merge, and so is a run all the way
+    round, which starts at column 1.
     """
+    merged = [cells[p] >= 0 and cells[p] == cells[p + 1] for p in range(n - 1)]
+    wrap = cyclic and cells[-1] >= 0 and cells[-1] == cells[0]
+    merged.append(wrap and not all(merged))
+    # walk once around from the first column that starts a run
+    first = merged.index(False) + 1 if merged[-1] else 0
     members = []
-    if not cyclic:
-        pos = 0
-        while pos < n:
-            b = cells[pos]
-            end = pos
-            if b >= 0:
-                while end + 1 < n and cells[end + 1] == b:
-                    end += 1
-            rows = tuple(sorted(image[pos : end + 1]))
-            members.append(TrackMember(rows, pos + 1, end - pos + 1))
-            pos = end + 1
-        return OneTrack(tuple(members), False)
-    merged = [cells[p] >= 0 and cells[p] == cells[(p + 1) % n] for p in range(n)]
-    if all(merged):
-        return OneTrack(
-            (TrackMember(tuple(sorted(image)), 1, n),), True
-        )
-    starts = [p for p in range(n) if not merged[(p - 1) % n]]
-    for p in starts:
-        end = p
-        length = 1
-        while merged[end]:
-            end = (end + 1) % n
-            length += 1
-        rows = tuple(sorted(image[(p + t) % n] for t in range(length)))
-        members.append(TrackMember(rows, p + 1, length))
-    return OneTrack(tuple(members), True)
+    rows: list[int] = []
+    for q in range(first, first + n):
+        p = q % n
+        rows.append(image[p])
+        if not merged[p]:
+            k = len(rows)
+            members.append(TrackMember(tuple(sorted(rows)), (p + 1 - k) % n + 1, k))
+            rows = []
+    return OneTrack(tuple(members), cyclic)
 
 
 def track_of_string(
@@ -316,9 +308,73 @@ def track_of_string(
     return _canonical_track(cells, image, cyclic, a.n)
 
 
+def _strings(a: ExactMatrix, col_rows: list[int]):
+    """(rows, term) for each nonzero string of a whose column c takes a row
+    from the 0-based bitmask col_rows[c], in lexicographic order: rows[c] is
+    the row in column c (a live list), term is sgn(sigma) times the entries'
+    product, reduced mod p over GF(p).  Depth first, smallest free row first;
+    stack[c] holds the rows column c has yet to try, terms[c] the signed
+    product of the first c entries.  Placing row r makes one inversion per
+    used row of larger index: the sign flips by the parity of popcount(used
+    >> r)."""
+    n = a.n
+    raw = a.raw()
+    p = a.spec.characteristic
+    rows: list[int] = []
+    terms = [1]
+    used = 0
+    stack = [col_rows[0]]
+    while stack:
+        free = stack[-1] & ~used
+        if not free:
+            stack.pop()
+            if rows:
+                used ^= 1 << rows.pop()
+                terms.pop()
+            continue
+        bit = free & -free
+        stack[-1] = free ^ bit
+        r = bit.bit_length() - 1
+        c = len(rows)
+        term = raw[r][c]
+        if not term:
+            continue
+        term *= terms[-1]
+        if (used >> r).bit_count() & 1:
+            term = -term
+        if p:
+            term %= p
+        rows.append(r)
+        if c + 1 < n:
+            terms.append(term)
+            used |= bit
+            stack.append(col_rows[c + 1])
+            continue
+        yield rows, term
+        rows.pop()
+
+
+def _track_totals(a: ExactMatrix, cyclic: bool, max_size: int) -> dict:
+    """Each canonical track of a's nonzero strings, in first-seen order of
+    the lexicographic enumeration, with the raw signed sum of its strings."""
+    if not a.is_square:
+        raise NotSquare("track enumeration needs a square matrix")
+    if a.n > max_size:
+        raise SizeBound(f"n={a.n} exceeds the track enumeration bound {max_size}")
+    n = a.n
+    owner = _one_blocks(a, cyclic)[1] if n >= 2 else ((-1,),)
+    totals: dict[OneTrack, object] = {}
+    for rows, term in _strings(a, [(1 << n) - 1] * n):
+        cells = [owner[r][c] for c, r in enumerate(rows)]
+        track = _canonical_track(cells, [r + 1 for r in rows], cyclic, n)
+        totals[track] = totals.get(track, 0) + term
+    return totals
+
+
 def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     """Sum of sgn(sigma) * product(entries) over all strings belonging to the
-    track.  Zero whenever some member is a true minor (>= 2 rows)."""
+    track.  Zero whenever some member is a true minor (>= 2 rows).  SizeBound
+    when the track has more strings than DEFAULT_TRACK_BOUND! (8 x 8)."""
     if not a.is_square:
         raise NotSquare("track sums are defined for square matrices")
     n = a.n
@@ -327,37 +383,18 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
             f"track covers {track.total_cols} of {n} columns"
         )
     all_rows = sorted(r for mb in track.members for r in mb.rows)
-    spec = a.spec
     if all_rows != list(range(1, n + 1)):
-        return spec.zero  # no string can belong to such a track
-    raw = a.raw()
-    member_cols = [mb.columns(n) for mb in track.members]
-    member_perms = [
-        list(itertools.permutations(mb.rows)) for mb in track.members
-    ]
-    if spec.kind is FieldKind.RATIONAL:
-        total = Fraction(0)
-    else:
-        total = 0
-    p = spec.p
-    for combo in itertools.product(*member_perms):
-        image = [0] * n
-        for cols, rows in zip(member_cols, combo):
-            for c, r in zip(cols, rows):
-                image[c - 1] = r
-        prod = raw[image[0] - 1][0]
-        for c in range(1, n):
-            prod *= raw[image[c] - 1][c]
-            if not prod:
-                break
-        if not prod:
-            continue
-        term = prod if image_sign(image) == 1 else -prod
-        if spec.kind is FieldKind.RATIONAL:
-            total += term
-        else:
-            total = (total + term) % p
-    return spec.scalar(total)
+        return a.spec.zero  # no string can belong to such a track
+    count = math.prod(math.factorial(len(mb.rows)) for mb in track.members)
+    if count > math.factorial(DEFAULT_TRACK_BOUND):
+        raise SizeBound(
+            f"track has {count} strings, above the bound {DEFAULT_TRACK_BOUND}!"
+        )
+    col_rows = [0] * n
+    for mb in track.members:
+        for c in mb.columns(n):
+            col_rows[c - 1] = sum(1 << (r - 1) for r in mb.rows)
+    return a.spec.scalar(sum(term for _, term in _strings(a, col_rows)))
 
 
 def complete_tracks(
@@ -365,50 +402,11 @@ def complete_tracks(
 ) -> list[OneTrack]:
     """Distinct canonical tracks of all nonzero strings, in first-seen order
     of the lexicographic string enumeration."""
-    if not a.is_square:
-        raise NotSquare("track enumeration needs a square matrix")
-    if a.n > max_size:
-        raise SizeBound(f"n={a.n} exceeds the track enumeration bound {max_size}")
-    n = a.n
-    raw = a.raw()
-    owner = _one_blocks(a, cyclic)[1] if n >= 2 else ((-1,),)
-    col_bits = [sum(1 << r for r in range(n) if raw[r][c]) for c in range(n)]
-    tracks: dict[OneTrack, None] = {}
-    # depth-first over columns, smallest free nonzero row first: stack[c]
-    # holds the rows column c has yet to try, image the rows picked so far
-    # and cells their owners
-    image: list[int] = []
-    cells: list[int] = []
-    used = 0
-    stack = [col_bits[0]]
-    while stack:
-        free = stack[-1] & ~used
-        if not free:
-            stack.pop()
-            if image:
-                used ^= 1 << (image.pop() - 1)
-                cells.pop()
-            continue
-        bit = free & -free
-        stack[-1] = free ^ bit
-        r = bit.bit_length() - 1
-        c = len(image)
-        if c + 1 < n:
-            image.append(r + 1)
-            cells.append(owner[r][c])
-            used |= bit
-            stack.append(col_bits[c + 1])
-            continue
-        track = _canonical_track(cells + [owner[r][c]], (*image, r + 1), cyclic, n)
-        tracks.setdefault(track)
-    return list(tracks)
+    return list(_track_totals(a, cyclic, max_size))
 
 
 def det_by_tracks(
     a: ExactMatrix, cyclic: bool = False, max_size: int = DEFAULT_TRACK_BOUND
 ) -> Scalar:
     """Determinant via the string expansion grouped by canonical track."""
-    total = a.spec.zero
-    for track in complete_tracks(a, cyclic, max_size):
-        total = total + track_sum(a, track)
-    return total
+    return a.spec.scalar(sum(_track_totals(a, cyclic, max_size).values()))

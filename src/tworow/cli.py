@@ -19,8 +19,8 @@ from pathlib import Path
 from .blocks import (
     DEFAULT_TRACK_BOUND,
     OneTrack,
+    _track_totals,
     block_partition,
-    complete_tracks,
     det_by_tracks,
     track_of_string,
     track_sum,
@@ -191,12 +191,13 @@ def cmd_tracks(args) -> int:
         doc["sum"] = str(track_sum(a, track))
         _emit(doc)
         return EXIT_OK
-    tracks = complete_tracks(a, args.cyclic, args.max_enum)
+    totals = _track_totals(a, args.cyclic, args.max_enum)
     _emit(
         {
-            "count": len(tracks),
+            "count": len(totals),
             "tracks": [
-                dict(_track_json(t), sum=str(track_sum(a, t))) for t in tracks
+                dict(_track_json(t), sum=str(a.spec.scalar(total)))
+                for t, total in totals.items()
             ],
         }
     )

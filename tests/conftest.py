@@ -26,8 +26,9 @@ def singular_3x3() -> ExactMatrix:
 
 
 def random_matrix(rng: random.Random, spec, m: int, n: int) -> ExactMatrix:
-    """Entry-uniform random matrix; rationals get small numerators and
-    denominators so zero entries still show up."""
+    """Entry-uniform random matrix.  Over Q the entries are small integers,
+    zero with probability 2/7, so zero entries still show up; there are no
+    denominators."""
     if spec is QQ:
         rows = [
             [rng.choice([0, 0, 1, -1, 2, 3, -2]) for _ in range(n)] for _ in range(m)

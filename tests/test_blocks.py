@@ -10,6 +10,7 @@ from tworow import (
     QQ,
     DegenerateMatrix,
     ExactMatrix,
+    FieldSpec,
     IncompleteTrack,
     NotSquare,
     OneTrack,
@@ -29,7 +30,13 @@ from tworow import (
 from tworow.blocks import TrackMember
 
 from .conftest import ALL_SPECS, random_matrix
-from .oracles import brute_one_blocks, naive_determinant, nonzero_strings, rank_one_over_field
+from .oracles import (
+    brute_one_blocks,
+    naive_determinant,
+    nonzero_strings,
+    perm_parity,
+    rank_one_over_field,
+)
 
 
 def as_triples(blocks):
@@ -269,10 +276,33 @@ def test_det_by_tracks_random(spec, cyclic):
 @pytest.mark.parametrize("cyclic", [False, True])
 def test_string_partition_into_tracks(cyclic):
     rng = random.Random(31)
+    matrices = []
     for _ in range(20):
         spec = rng.choice(ALL_SPECS)
         n = rng.randint(2, 5)
-        a = random_matrix(rng, spec, n, n)
+        matrices.append(random_matrix(rng, spec, n, n))
+    # a large prime, and rationals with denominators: rows 1 and 2 are
+    # proportional on columns 1..2 and zero together on columns 3 and 5, so
+    # they are null-connected, plain and cyclic, and hold a 1-block
+    big = FieldSpec.gf(2147483647)
+    x, y, z = (rng.randrange(1, big.p) for _ in range(3))
+    matrices.append(ExactMatrix(big, [
+        [x, y, 0, z, 0],
+        [2 * x, 2 * y, 0, 3 * z, 0],
+        [rng.randrange(big.p) for _ in range(5)],
+        [0, rng.randrange(big.p), 1, 2, 3],
+        [4, 0, rng.randrange(big.p), 5, big.p - 1],
+    ]))
+    matrices.append(ExactMatrix(QQ, [
+        ["1/2", "3/4", "0", "1", "0"],
+        ["1", "3/2", "0", "5/3", "0"],
+        ["0", "2/5", "1", "-1/3", "3"],
+        ["7/2", "0", "1/9", "2", "-1"],
+        ["-1", "1/3", "4", "0", "5/2"],
+    ]))
+    for a in matrices:
+        n = a.n
+        raw = a.raw()
         strings = nonzero_strings(a)
         tracks = complete_tracks(a, cyclic)
         by_track = {}
@@ -285,6 +315,13 @@ def test_string_partition_into_tracks(cyclic):
         for tr, members in by_track.items():
             expected = math.prod(math.factorial(len(m.rows)) for m in tr.members)
             assert len(members) == expected
+            # each track's sum is the signed sum of its strings
+            total = sum(
+                perm_parity(image)
+                * math.prod(raw[r - 1][c] for c, r in enumerate(image))
+                for image in members
+            )
+            assert track_sum(a, tr) == a.spec.scalar(total)
         assert sum(len(v) for v in by_track.values()) == len(strings)
 
 
@@ -298,6 +335,20 @@ def test_complete_tracks_bound():
     assert det_by_tracks(ExactMatrix.identity(GF2, 1200), max_size=1200) == GF2.one
     with pytest.raises(NotSquare):
         complete_tracks(ExactMatrix(GF2, [[1, 0]]))
+    # track_sum takes at most the 8! strings of an 8-row member; one string
+    # per track stays accepted at any n
+    for n in (8, 9, 10):
+        ones = ExactMatrix(GF3, [[1] * n] * n)
+        track = track_of_string(ones, RowPermutation.identity(n))
+        assert [len(m.rows) for m in track.members] == [n]
+        if n == 8:
+            assert track_sum(ones, track) == GF3.zero
+        else:
+            with pytest.raises(SizeBound):
+                track_sum(ones, track)
+    n = 1200
+    identity_track = OneTrack(tuple(TrackMember((c,), c, 1) for c in range(1, n + 1)), False)
+    assert track_sum(ExactMatrix.identity(GF2, n), identity_track) == GF2.one
 
 
 def test_det_by_tracks_1x1():

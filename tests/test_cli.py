@@ -270,6 +270,14 @@ def test_error_exit_codes(capsys, tmp_path):
     huge.write_text("4097\n1 2\n")
     code, out, err = run_cli(capsys, "raag", "--graph", str(huge))
     assert code == 2 and out == "" and "above the bound 4096" in err
+    # one 10-row track of 10! strings is above track_sum's bound of 8!
+    ones = tmp_path / "ones.csv"
+    ones.write_text("1,1,1,1,1,1,1,1,1,1\n" * 10)
+    code, out, err = run_cli(
+        capsys, "tracks", "--matrix", str(ones), "--field", "gf(3)",
+        "--sigma", "1,2,3,4,5,6,7,8,9,10",
+    )
+    assert code == 2 and out == "" and "above the bound 8!" in err
 
 
 def test_unknown_subcommand(capsys):

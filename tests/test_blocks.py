@@ -244,6 +244,80 @@ def test_track_sum_disjoint_row_track_is_zero():
     assert track_sum(a, weird) == QQ.zero
 
 
+def constrained_sum(a, allowed):
+    """Signed sum over the strings whose column c takes its row from
+    allowed[c - 1] (a set of 1-based rows)."""
+    raw = a.raw()
+    total = 0
+    for image in nonzero_strings(a):
+        if all(r in allowed[c] for c, r in enumerate(image)):
+            total += perm_parity(image) * math.prod(raw[r - 1][c] for c, r in enumerate(image))
+    return a.spec.scalar(total)
+
+
+def members(*specs):
+    return tuple(TrackMember(rows, start, length) for rows, start, length in specs)
+
+
+# (n, members, expected): "zero", an exception class, or the allowed rows of
+# each column whose constrained string sum is the track sum
+MALFORMED_TRACKS = [
+    # a repeated row
+    (3, members(((1,), 1, 1), ((1,), 2, 1), ((3,), 3, 1)), "zero"),
+    (3, members(((1, 1), 1, 2), ((3,), 3, 1)), "zero"),
+    # a row 0 or n + 1
+    (3, members(((0,), 1, 1), ((2,), 2, 1), ((3,), 3, 1)), "zero"),
+    (3, members(((1,), 1, 1), ((2,), 2, 1), ((4,), 3, 1)), "zero"),
+    # two members on one column, so another column is uncovered
+    (3, members(((1,), 1, 1), ((2,), 1, 1), ((3,), 3, 1)), "zero"),
+    (3, members(((1, 2), 1, 2), ((3,), 2, 1)), "zero"),
+    # a member whose row count differs from its column count
+    (3, members(((1, 2), 1, 1), ((3,), 2, 2)), "zero"),
+    (3, members(((1,), 1, 2), ((2, 3), 3, 1)), "zero"),
+    # wrapped cyclic minors, rows sorted or not
+    (3, members(((1, 3), 3, 2), ((2,), 2, 1)), [{1, 3}, {2}, {1, 3}]),
+    (3, members(((2,), 2, 1), ((3, 1), 3, 2)), [{1, 3}, {2}, {1, 3}]),
+    (4, members(((1, 3, 4), 4, 3), ((2,), 3, 1)), [{1, 3, 4}, {1, 3, 4}, {2}, {1, 3, 4}]),
+    (4, members(((2, 4), 4, 2), ((1, 3), 2, 2)), [{2, 4}, {1, 3}, {1, 3}, {2, 4}]),
+    # a member with no columns: the later member overwrites column 2
+    (2, members(((2,), 2, 2), ((1,), 2, 1), ((), 1, -1)), [{2}, {1}]),
+    # too few columns
+    (3, members(((1, 2, 3), 1, 2),), IncompleteTrack),
+]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [FieldSpec.gf(2147483647)])
+@pytest.mark.parametrize("n, mbs, expected", MALFORMED_TRACKS)
+def test_track_sum_malformed_tracks(spec, n, mbs, expected):
+    rng = random.Random(41)
+    if spec is QQ:
+        pool = ["2", "-1", "1/2", "3", "-7/3", "5/4"]
+    else:
+        pool = [rng.randrange(1, spec.p) for _ in range(6)]
+    a = ExactMatrix(spec, [[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+    for cyclic in (False, True):
+        track = OneTrack(mbs, cyclic)
+        if expected == "zero":
+            assert track_sum(a, track) == spec.zero
+        elif isinstance(expected, list):
+            assert track_sum(a, track) == constrained_sum(a, expected)
+        else:
+            with pytest.raises(expected):
+                track_sum(a, track)
+
+
+def test_track_sum_zero_before_size_bound():
+    ones = ExactMatrix(GF3, [[1] * 9] * 9)
+    # nine rows with a repeat: no string belongs, whatever the member sizes
+    repeated = OneTrack(members(((1, 1, 2, 3, 4, 5, 6, 7, 8), 1, 9),), False)
+    assert track_sum(ones, repeated) == GF3.zero
+    # a partition of the rows with a 9-row member is over the 8! bound, even
+    # though its single column leaves no string
+    lopsided = OneTrack(members((tuple(range(1, 10)), 1, 1), ((), 2, 8)), False)
+    with pytest.raises(SizeBound):
+        track_sum(ones, lopsided)
+
+
 def test_minor_tracks_sum_to_zero_exhaustive_gf2():
     for bits in range(2**9):
         rows = [[bits >> (3 * r + c) & 1 for c in range(3)] for r in range(3)]

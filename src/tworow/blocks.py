@@ -13,18 +13,27 @@ A complete 1-track is an abutting chain of members (nonzero 1x1 cells or
 minors inside a single block) covering all n columns, with no two consecutive
 members inside a common block.  Grouping the nonzero strings of the
 determinant expansion by their canonical track shows each track with a
-multi-row member sums to zero, which re-derives the determinant.  One
-enumeration walks those strings in lexicographic order with their signed
-products (placing row r flips the sign once per used row of larger index);
-the track list, the track sums and det_by_tracks all read it.
+multi-row member sums to zero, which re-derives the determinant.  A string
+is narrow when no two consecutive cells (closed when cyclic) share a block,
+so that its track has only 1x1 members, and wide otherwise.
+
+det_by_tracks is a subset DP over the columns that sums the narrow and the
+wide strings apart, returns the first and checks that the second is zero.
+A track sum is a generalized Laplace product: the sign of one string of the
+track times its member minors.  Only the track list walks the strings one by
+one, in lexicographic order with their signed products; it keys a narrow
+string by its rows and canonicalizes only the wide ones.  Both the DP and the
+walk place row r with one sign flip per used row of larger index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
+    AssertionFailure,
     DegenerateMatrix,
     IncompleteTrack,
     NotSquare,
@@ -33,7 +42,13 @@ from .errors import (
     ZeroEntryInString,
 )
 from .fields import Scalar
-from .matrices import ExactMatrix, RowPermutation
+from .matrices import (
+    ExactMatrix,
+    RowPermutation,
+    _eliminate,
+    _integer_rows,
+    image_sign,
+)
 from .rowgraph import row_null_masks
 
 DEFAULT_TRACK_BOUND = 8
@@ -308,73 +323,121 @@ def track_of_string(
     return _canonical_track(cells, image, cyclic, a.n)
 
 
-def _strings(a: ExactMatrix, col_rows: list[int]):
-    """(rows, term) for each nonzero string of a whose column c takes a row
-    from the 0-based bitmask col_rows[c], in lexicographic order: rows[c] is
-    the row in column c (a live list), term is sgn(sigma) times the entries'
-    product, reduced mod p over GF(p).  Depth first, smallest free row first;
-    stack[c] holds the rows column c has yet to try, terms[c] the signed
-    product of the first c entries.  Placing row r makes one inversion per
-    used row of larger index: the sign flips by the parity of popcount(used
-    >> r)."""
+def _check_enumerable(a: ExactMatrix, max_size: int) -> None:
+    if not a.is_square:
+        raise NotSquare("track enumeration needs a square matrix")
+    if a.n > max_size:
+        raise SizeBound(f"n={a.n} exceeds the track enumeration bound {max_size}")
+
+
+def _strings(a: ExactMatrix, owner):
+    """(rows, cells, term, wide) for each nonzero string of a, in
+    lexicographic order: rows[c] is the 0-based row in column c and cells[c]
+    the index of the block holding that cell, or -1 (both live lists); term
+    is sgn(sigma) times the entries' product, reduced mod p over GF(p); wide
+    says two consecutive cells lie in one block (the wrap pair is left to
+    the caller).  Depth first, smallest row first; stack[c] holds the
+    nonzero rows column c has yet to try, terms[c] and wides[c] describe the
+    first c cells.  Placing row r makes one inversion per used row of larger
+    index: the sign flips by the parity of popcount(used >> r)."""
     n = a.n
     raw = a.raw()
     p = a.spec.characteristic
+    nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in zip(*raw)]
     rows: list[int] = []
+    cells: list[int] = []
     terms = [1]
+    wides = [False]
     used = 0
-    stack = [col_rows[0]]
+    stack = [nonzero[0]]
     while stack:
         free = stack[-1] & ~used
         if not free:
             stack.pop()
             if rows:
                 used ^= 1 << rows.pop()
+                cells.pop()
                 terms.pop()
+                wides.pop()
             continue
         bit = free & -free
         stack[-1] = free ^ bit
         r = bit.bit_length() - 1
         c = len(rows)
-        term = raw[r][c]
-        if not term:
-            continue
-        term *= terms[-1]
+        term = raw[r][c] * terms[-1]
         if (used >> r).bit_count() & 1:
             term = -term
         if p:
             term %= p
+        b = owner[r][c]
+        wide = wides[-1] or b >= 0 and c > 0 and cells[-1] == b
         rows.append(r)
+        cells.append(b)
         if c + 1 < n:
             terms.append(term)
+            wides.append(wide)
             used |= bit
-            stack.append(col_rows[c + 1])
+            stack.append(nonzero[c + 1])
             continue
-        yield rows, term
+        yield rows, cells, term, wide
         rows.pop()
+        cells.pop()
 
 
-def _track_totals(a: ExactMatrix, cyclic: bool, max_size: int) -> dict:
-    """Each canonical track of a's nonzero strings, in first-seen order of
-    the lexicographic enumeration, with the raw signed sum of its strings."""
-    if not a.is_square:
-        raise NotSquare("track enumeration needs a square matrix")
-    if a.n > max_size:
-        raise SizeBound(f"n={a.n} exceeds the track enumeration bound {max_size}")
+def _track_totals(
+    a: ExactMatrix, cyclic: bool, max_size: int
+) -> list[tuple[OneTrack, object]]:
+    """Each canonical track of a's nonzero strings with the raw signed sum of
+    its strings, in first-seen order of the lexicographic enumeration.
+
+    A narrow string (no two consecutive cells, closed when cyclic, in one
+    block) is a track of its own, all 1x1 members, so it is keyed by its
+    rows and its track is built once at the end; only wide strings go
+    through _canonical_track."""
+    _check_enumerable(a, max_size)
     n = a.n
     owner = _one_blocks(a, cyclic)[1] if n >= 2 else ((-1,),)
-    totals: dict[OneTrack, object] = {}
-    for rows, term in _strings(a, [(1 << n) - 1] * n):
-        cells = [owner[r][c] for c, r in enumerate(rows)]
-        track = _canonical_track(cells, [r + 1 for r in rows], cyclic, n)
-        totals[track] = totals.get(track, 0) + term
-    return totals
+    totals: dict = {}
+    for rows, cells, term, wide in _strings(a, owner):
+        if wide or cyclic and cells[0] == cells[-1] >= 0:
+            track = _canonical_track(cells, [r + 1 for r in rows], cyclic, n)
+            totals[track] = totals.get(track, 0) + term
+        else:
+            totals[tuple(rows)] = term
+    singles: dict[tuple[int, int], TrackMember] = {}
+    out = []
+    for key, total in totals.items():
+        if type(key) is tuple:
+            members = []
+            for c, r in enumerate(key):
+                member = singles.get((r, c))
+                if member is None:
+                    member = singles[r, c] = TrackMember((r + 1,), c + 1, 1)
+                members.append(member)
+            key = OneTrack(tuple(members), cyclic)
+        out.append((key, total))
+    return out
+
+
+def _minor(raw, rows: list[int], cols: list[int], p: int):
+    """Raw determinant of the submatrix on 1-based rows and 0-based cols."""
+    sub = [[raw[r - 1][c] for c in cols] for r in rows]
+    if p:
+        return _eliminate(sub, p)[1]
+    ints, scale = _integer_rows(sub)
+    return Fraction(_eliminate(ints, 0)[1], scale)
 
 
 def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     """Sum of sgn(sigma) * product(entries) over all strings belonging to the
     track.  Zero whenever some member is a true minor (>= 2 rows).  SizeBound
-    when the track has more strings than DEFAULT_TRACK_BOUND! (8 x 8)."""
+    when the track has more strings than DEFAULT_TRACK_BOUND! (8 x 8).
+
+    Each column takes its rows from the last member listing it.  When every
+    member gets as many columns as rows, the sum is the generalized Laplace
+    product: the sign of one string of the track (each member's rows down its
+    columns, in order) times the member minors, rows and columns taken in
+    that same order; otherwise no string fits."""
     if not a.is_square:
         raise NotSquare("track sums are defined for square matrices")
     n = a.n
@@ -382,19 +445,48 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
         raise IncompleteTrack(
             f"track covers {track.total_cols} of {n} columns"
         )
-    all_rows = sorted(r for mb in track.members for r in mb.rows)
-    if all_rows != list(range(1, n + 1)):
+    members = track.members
+    if sorted([r for mb in members for r in mb.rows]) != list(range(1, n + 1)):
         return a.spec.zero  # no string can belong to such a track
-    count = math.prod(math.factorial(len(mb.rows)) for mb in track.members)
-    if count > math.factorial(DEFAULT_TRACK_BOUND):
-        raise SizeBound(
-            f"track has {count} strings, above the bound {DEFAULT_TRACK_BOUND}!"
-        )
-    col_rows = [0] * n
-    for mb in track.members:
-        for c in mb.columns(n):
-            col_rows[c - 1] = sum(1 << (r - 1) for r in mb.rows)
-    return a.spec.scalar(sum(term for _, term in _strings(a, col_rows)))
+    # the member sizes sum to n, so there are at most n! strings
+    if n > DEFAULT_TRACK_BOUND:
+        count = math.prod(math.factorial(len(mb.rows)) for mb in members)
+        if count > math.factorial(DEFAULT_TRACK_BOUND):
+            raise SizeBound(
+                f"track has {count} strings, above the bound {DEFAULT_TRACK_BOUND}!"
+            )
+    # the last member listing a column takes it: walk the members backwards
+    raw = a.raw()
+    p = a.spec.characteristic
+    taken = [False] * n
+    image = [0] * n
+    value = 1
+    for mb in reversed(members):
+        rows = mb.rows
+        start = mb.col_start - 1
+        if mb.col_len == 1 == len(rows):  # a single cell, the common case
+            c = start % n
+            if taken[c]:
+                return a.spec.zero
+            taken[c] = True
+            image[c] = rows[0]
+            value *= raw[rows[0] - 1][c]
+            continue
+        cols = []
+        for c in range(start, start + mb.col_len):
+            c %= n
+            if not taken[c]:
+                taken[c] = True
+                cols.append(c)
+        if len(rows) != len(cols):
+            return a.spec.zero
+        for r, c in zip(rows, cols):
+            image[c] = r
+        if rows:
+            value *= _minor(raw, rows, cols, p)
+    if p:
+        value %= p
+    return a.spec.scalar(image_sign(image) * value)
 
 
 def complete_tracks(
@@ -402,11 +494,68 @@ def complete_tracks(
 ) -> list[OneTrack]:
     """Distinct canonical tracks of all nonzero strings, in first-seen order
     of the lexicographic string enumeration."""
-    return list(_track_totals(a, cyclic, max_size))
+    return [track for track, _ in _track_totals(a, cyclic, max_size)]
 
 
 def det_by_tracks(
     a: ExactMatrix, cyclic: bool = False, max_size: int = DEFAULT_TRACK_BOUND
 ) -> Scalar:
-    """Determinant via the string expansion grouped by canonical track."""
-    return a.spec.scalar(sum(_track_totals(a, cyclic, max_size).values()))
+    """Determinant as the sum over the narrow strings, whose tracks have
+    only 1x1 members; AssertionFailure unless the wide strings sum to zero.
+
+    A subset DP over the columns, on states (used rows, behind, ahead).  In
+    a narrow state ahead is the block of the last cell when that block goes
+    on into the next column, else -1, so the next cell is wide exactly when
+    it lies in block ahead; behind is the same for the first cell and the
+    last column when cyclic, for the wrap pair, else -1.  A wide state has
+    behind = ahead = WIDE, so it is keyed by its used rows alone.  Placing
+    row r flips the sign by the parity of popcount(used >> r), the used rows
+    of larger index."""
+    _check_enumerable(a, max_size)
+    n = a.n
+    raw = a.raw()
+    p = a.spec.characteristic
+    blocks, owner = _one_blocks(a, cyclic) if n >= 2 else ((), ((-1,),))
+    spans = [sum(1 << (c - 1) for c in block.columns(n)) for block in blocks]
+    # cols[c]: (row, entry, block, ahead) for each nonzero cell of column c
+    cols = []
+    for c, column in enumerate(zip(*raw)):
+        after = (c + 1) % n if cyclic else c + 1
+        col = []
+        for r, v in enumerate(column):
+            if v:
+                b = owner[r][c]
+                col.append((r, v, b, b if b >= 0 and spans[b] >> after & 1 else -1))
+        cols.append(col)
+    WIDE = -2
+    states: dict = {}
+    for r, v, b, ahead in cols[0]:
+        behind = b if cyclic and b >= 0 and spans[b] >> (n - 1) & 1 else -1
+        states[1 << r, behind, ahead] = v
+    for col in cols[1:]:
+        sums: dict = {}
+        for (used, behind, last), term in states.items():
+            for r, v, b, ahead in col:
+                bit = 1 << r
+                if used & bit:
+                    continue
+                if last == WIDE or b == last >= 0:
+                    key = (used | bit, WIDE, WIDE)
+                else:
+                    key = (used | bit, behind, ahead)
+                t = -term * v if (used >> r).bit_count() & 1 else term * v
+                sums[key] = sums.get(key, 0) + t
+        if p:
+            sums = {key: t % p for key, t in sums.items()}
+        states = {key: t for key, t in sums.items() if t}
+    total = wide = 0
+    for (_, behind, ahead), term in states.items():
+        if behind == ahead != -1:  # a wide state, or a wrap pair in one block
+            wide += term
+        else:
+            total += term
+    if p:
+        wide %= p
+    if wide:
+        raise AssertionFailure(f"wide strings sum to {wide}, not 0")
+    return a.spec.scalar(total)

@@ -197,7 +197,7 @@ def cmd_tracks(args) -> int:
             "count": len(totals),
             "tracks": [
                 dict(_track_json(t), sum=str(a.spec.scalar(total)))
-                for t, total in totals.items()
+                for t, total in totals
             ],
         }
     )

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from tworow import (
     GF2,
     GF3,
     QQ,
+    AssertionFailure,
     DegenerateMatrix,
     ExactMatrix,
     FieldSpec,
@@ -27,7 +29,8 @@ from tworow import (
     track_of_string,
     track_sum,
 )
-from tworow.blocks import TrackMember
+import tworow.blocks as blocks
+from tworow.blocks import OneBlock, TrackMember
 
 from .conftest import ALL_SPECS, random_matrix
 from .oracles import (
@@ -347,6 +350,100 @@ def test_det_by_tracks_random(spec, cyclic):
         assert det_by_tracks(a, cyclic) == determinant(a)
 
 
+def planted_matrix(rng, spec, n, zero_share):
+    """A random n x n matrix, about zero_share of its cells zero, in which
+    (for n >= 4) two rows hold a 1-block, plain and cyclic: on a run of
+    columns row j is a multiple of row i, elsewhere row j is zero, and row i
+    is zero on the two columns flanking the run (cyclically)."""
+    if spec is QQ:
+        values = ["1", "-1", "2", "1/2", "-3/4"]
+    else:
+        values = [rng.randrange(1, spec.p) for _ in range(6)]
+    rows = [
+        [0 if rng.random() < zero_share else rng.choice(values) for _ in range(n)]
+        for _ in range(n)
+    ]
+    if n >= 4:
+        i, j = rng.sample(range(n), 2)
+        start, length = rng.randrange(n), rng.randint(2, n - 2)
+        factor = rng.choice(values)
+        run = {(start + t) % n for t in range(length)}
+        for c in range(n):
+            if c in run:
+                rows[i][c] = rows[i][c] or values[0]
+                rows[j][c] = spec.canonical(spec.canonical(rows[i][c]) * spec.canonical(factor))
+            else:
+                rows[j][c] = 0
+        rows[i][(start - 1) % n] = rows[i][(start + length) % n] = 0
+    return ExactMatrix(spec, rows)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [FieldSpec.gf(2147483647)], ids=lambda s: s.name)
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_det_by_tracks_narrow_and_wide_sums(spec, cyclic):
+    # the DP against the strings split by their tracks: the narrow strings
+    # (tracks of 1x1 members) sum to det, the wide ones to zero
+    rng = random.Random(53)
+    sizes = [1, 2, 3, 4, 4, 5, 5, 6, 6, 7, 8]
+    wide_strings = 0
+    for n in sizes:
+        a = planted_matrix(rng, spec, n, 0.5 if n >= 7 else 0.25)
+        raw = a.raw()
+        narrow = wide = 0
+        for image in nonzero_strings(a):
+            term = perm_parity(image) * math.prod(raw[r - 1][c] for c, r in enumerate(image))
+            if track_of_string(a, RowPermutation(image), cyclic).has_minor:
+                wide += term
+                wide_strings += 1
+            else:
+                narrow += term
+        assert a.spec.scalar(narrow) == determinant(a), a.to_json_dict()
+        assert a.spec.scalar(wide) == a.spec.zero, a.to_json_dict()
+        assert det_by_tracks(a, cyclic) == a.spec.scalar(narrow), a.to_json_dict()
+    assert wide_strings
+
+
+def test_det_by_tracks_raises_on_uncancelled_wide_strings(monkeypatch):
+    # a partition that claims the whole of a rank-two matrix as one block:
+    # every string is wide, and the wide strings sum to det = -2
+    a = ExactMatrix(QQ, [[1, 2], [3, 4]])
+    whole = ((OneBlock((1, 2), 1, 2, False),), ((0, 0), (0, 0)))
+    monkeypatch.setattr(blocks, "_one_blocks", lambda *args: whole)
+    for cyclic in (False, True):
+        with pytest.raises(AssertionFailure):
+            det_by_tracks(a, cyclic)
+    # a claimed block on the wrap pair of columns 3 and 1 alone: the strings
+    # through it sum to a22 * (a11 a33 - a13 a31) = 5 * -24
+    a = ExactMatrix(QQ, [[1, 2, 3], [4, 5, 6], [7, 8, -3]])
+    wrap = ((OneBlock((1, 3), 3, 2, True),), ((0, -1, 0), (-1, -1, -1), (0, -1, 0)))
+    monkeypatch.setattr(blocks, "_one_blocks", lambda *args: wrap)
+    with pytest.raises(AssertionFailure):
+        det_by_tracks(a, cyclic=True)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3], ids=lambda s: s.name)
+def test_det_by_tracks_scale_14(spec):
+    # the subset DP checks the track identity far above the enumeration's
+    # default bound
+    rng = random.Random(14)
+    n = 14
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    zeros = set(rng.sample(cells, len(cells) // 3))
+    uniform = ExactMatrix(spec, [
+        [0 if (i, j) in zeros else rng.randrange(1, spec.p) for j in range(n)]
+        for i in range(n)
+    ])
+    # an invertible matrix with a 1-block on columns 5..11, plain and cyclic
+    planted = planted_matrix(random.Random(37), spec, n, 1 / 3)
+    assert determinant(planted)
+    start = time.perf_counter()
+    for cyclic in (False, True):
+        assert find_one_blocks(planted, cyclic)
+        for a in (uniform, planted):
+            assert det_by_tracks(a, cyclic, max_size=14) == determinant(a)
+    assert time.perf_counter() - start < 5.0
+
+
 @pytest.mark.parametrize("cyclic", [False, True])
 def test_string_partition_into_tracks(cyclic):
     rng = random.Random(31)
@@ -397,6 +494,11 @@ def test_string_partition_into_tracks(cyclic):
             )
             assert track_sum(a, tr) == a.spec.scalar(total)
         assert sum(len(v) for v in by_track.values()) == len(strings)
+        # the enumeration's own track totals, which `tworow tracks` prints
+        totals = blocks._track_totals(a, cyclic, n)
+        assert [(tr, a.spec.scalar(s)) for tr, s in totals] == [
+            (tr, track_sum(a, tr)) for tr in tracks
+        ]
 
 
 def test_complete_tracks_bound():

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     AssertionFailure,
@@ -42,13 +41,7 @@ from .errors import (
     ZeroEntryInString,
 )
 from .fields import Scalar
-from .matrices import (
-    ExactMatrix,
-    RowPermutation,
-    _eliminate,
-    _integer_rows,
-    image_sign,
-)
+from .matrices import ExactMatrix, RowPermutation, _rank_det, image_sign
 from .rowgraph import row_null_masks
 
 DEFAULT_TRACK_BOUND = 8
@@ -419,19 +412,11 @@ def _track_totals(
     return out
 
 
-def _minor(raw, rows: list[int], cols: list[int], p: int):
-    """Raw determinant of the submatrix on 1-based rows and 0-based cols."""
-    sub = [[raw[r - 1][c] for c in cols] for r in rows]
-    if p:
-        return _eliminate(sub, p)[1]
-    ints, scale = _integer_rows(sub)
-    return Fraction(_eliminate(ints, 0)[1], scale)
-
-
 def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     """Sum of sgn(sigma) * product(entries) over all strings belonging to the
-    track.  Zero whenever some member is a true minor (>= 2 rows).  SizeBound
-    when the track has more strings than DEFAULT_TRACK_BOUND! (8 x 8).
+    track.  Zero whenever some member is a true minor (>= 2 rows) inside a
+    1-block, as in every canonical track.  SizeBound when the track has more
+    strings than DEFAULT_TRACK_BOUND! (8 x 8).
 
     Each column takes its rows from the last member listing it.  When every
     member gets as many columns as rows, the sum is the generalized Laplace
@@ -483,7 +468,8 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
         for r, c in zip(rows, cols):
             image[c] = r
         if rows:
-            value *= _minor(raw, rows, cols, p)
+            minor = tuple(tuple(raw[r - 1][c] for c in cols) for r in rows)
+            value *= _rank_det(ExactMatrix._from_raw(a.spec, minor))[1]
     if p:
         value %= p
     return a.spec.scalar(image_sign(image) * value)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 from tworow import canonical_json
 from tworow.cli import main
@@ -167,6 +169,57 @@ def test_tracks_enumeration_and_bound(capsys, tmp_path):
         assert code == 0 and err == ""
         assert json.loads(out)["count"] == count
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _seeded_track_matrices():
+    """24 seeded 5x5 and 6x6 CSV matrices over GF(2), GF(3) and Q.  Every
+    other one has a planted rank-one block: two or three rows proportional
+    on a window of columns and zero together on every other column outside
+    it, starting next to it, so the rows are null-connected and their
+    tracks have minor members."""
+    rng = random.Random(909)
+    pools = {"gf2": [0, 1, 1], "gf(3)": [0, 1, 2, 2], "q": [0, 1, -1, 2, Fraction(1, 2)]}
+    out = []
+    for k in range(24):
+        field = ("gf2", "gf(3)", "q")[k % 3]
+        n = 5 + k // 12
+        pool = pools[field]
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        if k % 2:
+            size = rng.choice((2, 3))
+            i, j = rng.randrange(n - size + 1), rng.randrange(n - size)
+            nonzero = [v for v in pool if v]
+            base = [rng.choice(nonzero) for _ in range(n)]
+            for c in [*range(j), *range(j + size, n)]:
+                # an odd distance to the window j..j+size-1 means zero
+                if (j - c if c < j else c - j - size + 1) % 2:
+                    base[c] = 0
+            for s in range(size):
+                u = rng.choice(nonzero)
+                rows[i + s] = [u * x for x in base]
+        if field != "q":
+            p = 2 if field == "gf2" else 3
+            rows = [[x % p for x in row] for row in rows]
+        out.append((field, "\n".join(",".join(map(str, row)) for row in rows) + "\n"))
+    return out
+
+
+def test_tracks_output_pinned(capsys, tmp_path):
+    # the whole stdout of `tworow tracks`, plain and cyclic, on seeded
+    # matrices with and without 1-blocks, by one digest
+    digest = hashlib.sha256()
+    for k, (field, text) in enumerate(_seeded_track_matrices()):
+        path = tmp_path / f"m{k}.csv"
+        path.write_text(text)
+        for extra in ((), ("--cyclic",)):
+            code, out, err = run_cli(
+                capsys, "tracks", "--matrix", str(path), "--field", field, *extra
+            )
+            assert code == 0 and err == ""
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "df7cdf020e32cad87724fdf47c9fce6352589ef07740306b7bc240126a51c03c"
+    )
 
 
 def test_det_methods(capsys):

@@ -20,10 +20,11 @@ so that its track has only 1x1 members, and wide otherwise.
 det_by_tracks is a subset DP over the columns that sums the narrow and the
 wide strings apart, returns the first and checks that the second is zero.
 A track sum is a generalized Laplace product: the sign of one string of the
-track times its member minors.  Only the track list walks the strings one by
-one, in lexicographic order with their signed products; it keys a narrow
-string by its rows and canonicalizes only the wide ones.  Both the DP and the
-walk place row r with one sign flip per used row of larger index.
+track times its member minors; it is the one sum of a track.  Only the track
+list walks the strings one by one, in lexicographic order, carrying no
+products or signs; a narrow string is a track of its own, and only the wide
+ones are canonicalized.  The DP places row r with one sign flip per used row
+of larger index, and track_sum takes one string's sign from image_sign.
 """
 
 from __future__ import annotations
@@ -324,22 +325,16 @@ def _check_enumerable(a: ExactMatrix, max_size: int) -> None:
 
 
 def _strings(a: ExactMatrix, owner):
-    """(rows, cells, term, wide) for each nonzero string of a, in
-    lexicographic order: rows[c] is the 0-based row in column c and cells[c]
-    the index of the block holding that cell, or -1 (both live lists); term
-    is sgn(sigma) times the entries' product, reduced mod p over GF(p); wide
-    says two consecutive cells lie in one block (the wrap pair is left to
-    the caller).  Depth first, smallest row first; stack[c] holds the
-    nonzero rows column c has yet to try, terms[c] and wides[c] describe the
-    first c cells.  Placing row r makes one inversion per used row of larger
-    index: the sign flips by the parity of popcount(used >> r)."""
+    """(rows, cells, wide) for each nonzero string of a, in lexicographic
+    order: rows[c] is the 0-based row in column c and cells[c] the index of
+    the block holding that cell, or -1 (both live lists); wide says two
+    consecutive cells lie in one block (the wrap pair is left to the
+    caller).  Depth first, smallest row first; stack[c] holds the nonzero
+    rows column c has yet to try, wides[c] describes the first c cells."""
     n = a.n
-    raw = a.raw()
-    p = a.spec.characteristic
-    nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in zip(*raw)]
+    nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in zip(*a.raw())]
     rows: list[int] = []
     cells: list[int] = []
-    terms = [1]
     wides = [False]
     used = 0
     stack = [nonzero[0]]
@@ -350,66 +345,24 @@ def _strings(a: ExactMatrix, owner):
             if rows:
                 used ^= 1 << rows.pop()
                 cells.pop()
-                terms.pop()
                 wides.pop()
             continue
         bit = free & -free
         stack[-1] = free ^ bit
         r = bit.bit_length() - 1
         c = len(rows)
-        term = raw[r][c] * terms[-1]
-        if (used >> r).bit_count() & 1:
-            term = -term
-        if p:
-            term %= p
         b = owner[r][c]
         wide = wides[-1] or b >= 0 and c > 0 and cells[-1] == b
         rows.append(r)
         cells.append(b)
         if c + 1 < n:
-            terms.append(term)
             wides.append(wide)
             used |= bit
             stack.append(nonzero[c + 1])
             continue
-        yield rows, cells, term, wide
+        yield rows, cells, wide
         rows.pop()
         cells.pop()
-
-
-def _track_totals(
-    a: ExactMatrix, cyclic: bool, max_size: int
-) -> list[tuple[OneTrack, object]]:
-    """Each canonical track of a's nonzero strings with the raw signed sum of
-    its strings, in first-seen order of the lexicographic enumeration.
-
-    A narrow string (no two consecutive cells, closed when cyclic, in one
-    block) is a track of its own, all 1x1 members, so it is keyed by its
-    rows and its track is built once at the end; only wide strings go
-    through _canonical_track."""
-    _check_enumerable(a, max_size)
-    n = a.n
-    owner = _one_blocks(a, cyclic)[1] if n >= 2 else ((-1,),)
-    totals: dict = {}
-    for rows, cells, term, wide in _strings(a, owner):
-        if wide or cyclic and cells[0] == cells[-1] >= 0:
-            track = _canonical_track(cells, [r + 1 for r in rows], cyclic, n)
-            totals[track] = totals.get(track, 0) + term
-        else:
-            totals[tuple(rows)] = term
-    singles: dict[tuple[int, int], TrackMember] = {}
-    out = []
-    for key, total in totals.items():
-        if type(key) is tuple:
-            members = []
-            for c, r in enumerate(key):
-                member = singles.get((r, c))
-                if member is None:
-                    member = singles[r, c] = TrackMember((r + 1,), c + 1, 1)
-                members.append(member)
-            key = OneTrack(tuple(members), cyclic)
-        out.append((key, total))
-    return out
 
 
 def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
@@ -418,11 +371,11 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     1-block, as in every canonical track.  SizeBound when the track has more
     strings than DEFAULT_TRACK_BOUND! (8 x 8).
 
-    Each column takes its rows from the last member listing it.  When every
-    member gets as many columns as rows, the sum is the generalized Laplace
-    product: the sign of one string of the track (each member's rows down its
-    columns, in order) times the member minors, rows and columns taken in
-    that same order; otherwise no string fits."""
+    A string fits the track only when its members tile the columns: each
+    column in exactly one member, each member with as many columns as rows.
+    The sum is then the generalized Laplace product: the sign of one string
+    of the track (each member's rows down its columns, in order) times the
+    member minors, rows and columns taken in that same order."""
     if not a.is_square:
         raise NotSquare("track sums are defined for square matrices")
     n = a.n
@@ -440,32 +393,26 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
             raise SizeBound(
                 f"track has {count} strings, above the bound {DEFAULT_TRACK_BOUND}!"
             )
-    # the last member listing a column takes it: walk the members backwards
     raw = a.raw()
     p = a.spec.characteristic
-    taken = [False] * n
-    image = [0] * n
+    image = [0] * n  # image[c]: the row taking column c, 0 while untaken
     value = 1
-    for mb in reversed(members):
+    for mb in members:
         rows = mb.rows
         start = mb.col_start - 1
         if mb.col_len == 1 == len(rows):  # a single cell, the common case
             c = start % n
-            if taken[c]:
+            if image[c]:
                 return a.spec.zero
-            taken[c] = True
             image[c] = rows[0]
             value *= raw[rows[0] - 1][c]
             continue
-        cols = []
-        for c in range(start, start + mb.col_len):
-            c %= n
-            if not taken[c]:
-                taken[c] = True
-                cols.append(c)
-        if len(rows) != len(cols):
+        if len(rows) != mb.col_len:
             return a.spec.zero
+        cols = [(start + t) % n for t in range(mb.col_len)]
         for r, c in zip(rows, cols):
+            if image[c]:
+                return a.spec.zero
             image[c] = r
         if rows:
             minor = tuple(tuple(raw[r - 1][c] for c in cols) for r in rows)
@@ -479,8 +426,31 @@ def complete_tracks(
     a: ExactMatrix, cyclic: bool = False, max_size: int = DEFAULT_TRACK_BOUND
 ) -> list[OneTrack]:
     """Distinct canonical tracks of all nonzero strings, in first-seen order
-    of the lexicographic string enumeration."""
-    return [track for track, _ in _track_totals(a, cyclic, max_size)]
+    of the lexicographic string enumeration.
+
+    A narrow string (no two consecutive cells, closed when cyclic, in one
+    block) is a track of its own, all 1x1 members, so only wide strings go
+    through _canonical_track and the seen set."""
+    _check_enumerable(a, max_size)
+    n = a.n
+    owner = _one_blocks(a, cyclic)[1] if n >= 2 else ((-1,),)
+    # single[r][c]: the 1x1 member on the nonzero cell (r+1, c+1)
+    single = [
+        [TrackMember((r + 1,), c + 1, 1) if v else None for c, v in enumerate(row)]
+        for r, row in enumerate(a.raw())
+    ]
+    seen: set[OneTrack] = set()
+    out = []
+    for rows, cells, wide in _strings(a, owner):
+        if wide or cyclic and cells[0] == cells[-1] >= 0:
+            track = _canonical_track(cells, [r + 1 for r in rows], cyclic, n)
+            if track in seen:
+                continue
+            seen.add(track)
+        else:
+            track = OneTrack(tuple([single[r][c] for c, r in enumerate(rows)]), cyclic)
+        out.append(track)
+    return out
 
 
 def det_by_tracks(

@@ -19,8 +19,8 @@ from pathlib import Path
 from .blocks import (
     DEFAULT_TRACK_BOUND,
     OneTrack,
-    _track_totals,
     block_partition,
+    complete_tracks,
     det_by_tracks,
     track_of_string,
     track_sum,
@@ -28,7 +28,7 @@ from .blocks import (
 from .errors import AssertionFailure, ParseError, TwoRowError
 from .fields import GF2, parse_field
 from .harness import ExperimentConfig, ExperimentMode, run_experiment
-from .hamilton import traceable_ordering
+from .hamilton import graph_hamiltonicity, traceable_ordering
 from .matrices import ExactMatrix, RowPermutation, canonical_json, determinant
 from .matrices import matrix_from_csv_text
 from .raag import (
@@ -37,7 +37,6 @@ from .raag import (
     basis_support_graph,
     cup_pairing,
     graph_from_text,
-    graph_hamiltonicity,
 )
 from .realize import realize, verify_realization
 from .rowgraph import SimplicialGraph, opp_graph, two_row_graph
@@ -191,14 +190,11 @@ def cmd_tracks(args) -> int:
         doc["sum"] = str(track_sum(a, track))
         _emit(doc)
         return EXIT_OK
-    totals = _track_totals(a, args.cyclic, args.max_enum)
+    tracks = complete_tracks(a, args.cyclic, args.max_enum)
     _emit(
         {
-            "count": len(totals),
-            "tracks": [
-                dict(_track_json(t), sum=str(a.spec.scalar(total)))
-                for t, total in totals
-            ],
+            "count": len(tracks),
+            "tracks": [dict(_track_json(t), sum=str(track_sum(a, t))) for t in tracks],
         }
     )
     return EXIT_OK

@@ -168,6 +168,15 @@ def hamiltonian_cycle(g: SimplicialGraph) -> PathWitness | None:
     return _checked(PathWitness(tuple(v + 1 for v in order), True), g)
 
 
+def graph_hamiltonicity(graph: SimplicialGraph, cyclic: bool = False) -> PathWitness | None:
+    """The lexicographically smallest Hamiltonian path of the graph, or
+    cycle when cyclic.  This is the one home of the degenerate sizes of a
+    Hamiltonian witness: one vertex is a path, and a cycle needs three."""
+    if not cyclic:
+        return hamiltonian_path(graph)
+    return hamiltonian_cycle(graph) if graph.n >= 3 else None
+
+
 def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation | None:
     """A row order whose every consecutive pair (cyclically closed when
     requested) spans an invertible consecutive-column window after permuting,
@@ -176,14 +185,12 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
     """
     if not a.is_square:
         raise NotSquare(f"need a square matrix, got {a.m}x{a.n}")
-    if a.n == 1:
+    if a.n == 1:  # no window, so nothing for the postcondition to check
         return None if cyclic else RowPermutation.identity(1)
-    if cyclic and a.n < 3:
+    witness = graph_hamiltonicity(two_row_graph(a, cyclic), cyclic)
+    if witness is None:
         return None
-    order = _search(two_row_graph(a, cyclic).adj, closed=cyclic)
-    if order is None:
-        return None
-    sigma = RowPermutation(tuple(v + 1 for v in order))
+    sigma = RowPermutation(witness.order)
     check = is_cyclically_square_traceable if cyclic else is_square_traceable
     if not check(permute_rows(a, sigma)):
         raise AssertionFailure(

@@ -13,7 +13,8 @@ questions only depend on nonvanishing, so any consistent orientation works.
 Edges are numbered in lexicographic order.
 
 Input graphs and support graphs are both rowgraph.SimplicialGraph, which
-this module re-exports; it defines no graph type of its own.
+this module re-exports; it defines no graph type of its own.  Witnesses on
+either graph come from hamilton.graph_hamiltonicity, also re-exported here.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 
 from .errors import DimensionMismatch, FieldMismatch, ParseError, SingularBasis
 from .fields import FieldKind, FieldSpec, Scalar
-from .hamilton import PathWitness, hamiltonian_cycle, hamiltonian_path
+from .hamilton import graph_hamiltonicity
 from .matrices import ExactMatrix, RowPermutation, determinant
 from .rowgraph import SimplicialGraph, non_null_graph, null_masks
 
@@ -191,25 +192,9 @@ def basis_hamiltonian_witness(
     t: PairingTriple, basis: BasisMatrix, cyclic: bool = False
 ) -> RowPermutation | None:
     """A row order sigma with q(w_sigma(i), w_sigma(i+1)) nonzero for every
-    consecutive pair, closed cyclically when requested.  Degenerate cyclic
-    sizes (n < 3) admit no closed witness."""
-    a = _check_basis(t, basis)
-    if a.n == 1:
-        return None if cyclic else RowPermutation.identity(1)
-    if cyclic and a.n < 3:
-        return None
-    g = _support_graph(t, a)
-    witness = hamiltonian_cycle(g) if cyclic else hamiltonian_path(g)
+    consecutive pair, closed cyclically when requested: a Hamiltonian
+    witness of the support graph, by graph_hamiltonicity."""
+    witness = graph_hamiltonicity(_support_graph(t, _check_basis(t, basis)), cyclic)
     if witness is None:
         return None
     return RowPermutation(witness.order)
-
-
-def graph_hamiltonicity(graph: SimplicialGraph, cyclic: bool = False) -> PathWitness | None:
-    """Direct Hamiltonian search on the graph itself; the comparison target
-    for the basis-level equivalence."""
-    if cyclic:
-        if graph.n < 3:
-            return None
-        return hamiltonian_cycle(graph)
-    return hamiltonian_path(graph)

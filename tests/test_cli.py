@@ -222,6 +222,21 @@ def test_tracks_output_pinned(capsys, tmp_path):
     )
 
 
+def test_tracks_over_bound_track(capsys, tmp_path):
+    # all-ones 8x8 and 2x2 blocks on the diagonal: the one track has
+    # 8! * 2! strings, above track_sum's bound, listed or picked by --sigma
+    path = tmp_path / "diag.csv"
+    path.write_text("".join(
+        ",".join("1" if (i < 8) == (j < 8) else "0" for j in range(10)) + "\n"
+        for i in range(10)
+    ))
+    base = ("tracks", "--matrix", str(path), "--field", "gf(3)")
+    for extra in (("--max-enum", "10"), ("--sigma", "1,2,3,4,5,6,7,8,9,10")):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert code == 2 and out == ""
+        assert err == "error: track has 80640 strings, above the bound 8!\n"
+
+
 def test_det_methods(capsys):
     for method, path, want, extra in [
         ("elimination", GOLDEN, "1", ()),

@@ -35,6 +35,20 @@ def test_public_names_resolve():
     assert len(set(tworow.__all__)) == len(tworow.__all__)
 
 
+def test_cli_imports_only_public_names():
+    # every CLI document is then reproducible from the public API, as the
+    # benchmark's in-process references assume
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.split(".")[-1].startswith("_")
+    ]
+    assert private == []
+
+
 # seeded output each script must print for the arguments below
 SCRIPT_OUTPUT = {
     "completeness_table.py": (

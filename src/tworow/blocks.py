@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     AssertionFailure,
@@ -42,7 +43,7 @@ from .errors import (
     ZeroEntryInString,
 )
 from .fields import Scalar
-from .matrices import ExactMatrix, RowPermutation, _rank_det, image_sign
+from .matrices import ExactMatrix, RowPermutation, _eliminate, image_sign
 from .rowgraph import row_null_masks
 
 DEFAULT_TRACK_BOUND = 8
@@ -375,7 +376,9 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     column in exactly one member, each member with as many columns as rows.
     The sum is then the generalized Laplace product: the sign of one string
     of the track (each member's rows down its columns, in order) times the
-    member minors, rows and columns taken in that same order."""
+    member minors, rows and columns taken in that same order.  Over Q the
+    minors are taken on the cached integer rows, and since the members use
+    each row once the product is divided by their scale once."""
     if not a.is_square:
         raise NotSquare("track sums are defined for square matrices")
     n = a.n
@@ -393,7 +396,7 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
             raise SizeBound(
                 f"track has {count} strings, above the bound {DEFAULT_TRACK_BOUND}!"
             )
-    raw = a.raw()
+    ints, scale = a._int_rows()
     p = a.spec.characteristic
     image = [0] * n  # image[c]: the row taking column c, 0 while untaken
     value = 1
@@ -405,7 +408,7 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
             if image[c]:
                 return a.spec.zero
             image[c] = rows[0]
-            value *= raw[rows[0] - 1][c]
+            value *= ints[rows[0] - 1][c]
             continue
         if len(rows) != mb.col_len:
             return a.spec.zero
@@ -415,11 +418,9 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
                 return a.spec.zero
             image[c] = r
         if rows:
-            minor = tuple(tuple(raw[r - 1][c] for c in cols) for r in rows)
-            value *= _rank_det(ExactMatrix._from_raw(a.spec, minor))[1]
-    if p:
-        value %= p
-    return a.spec.scalar(image_sign(image) * value)
+            value *= _eliminate([[ints[r - 1][c] for c in cols] for r in rows], p)[1]
+    value *= image_sign(image)
+    return a.spec.scalar(value % p if p else Fraction(value, scale))
 
 
 def complete_tracks(
@@ -466,16 +467,18 @@ def det_by_tracks(
     last column when cyclic, for the wrap pair, else -1.  A wide state has
     behind = ahead = WIDE, so it is keyed by its used rows alone.  Placing
     row r flips the sign by the parity of popcount(used >> r), the used rows
-    of larger index."""
+    of larger index.  Over Q the DP runs on the cached integer rows; every
+    string uses each row once, so both totals are divided by their scale
+    once at the end."""
     _check_enumerable(a, max_size)
     n = a.n
-    raw = a.raw()
+    rows, scale = a._int_rows()
     p = a.spec.characteristic
     blocks, owner = _one_blocks(a, cyclic) if n >= 2 else ((), ((-1,),))
     spans = [sum(1 << (c - 1) for c in block.columns(n)) for block in blocks]
     # cols[c]: (row, entry, block, ahead) for each nonzero cell of column c
     cols = []
-    for c, column in enumerate(zip(*raw)):
+    for c, column in enumerate(zip(*rows)):
         after = (c + 1) % n if cyclic else c + 1
         col = []
         for r, v in enumerate(column):
@@ -512,6 +515,8 @@ def det_by_tracks(
             total += term
     if p:
         wide %= p
+    else:
+        total, wide = Fraction(total, scale), Fraction(wide, scale)
     if wide:
         raise AssertionFailure(f"wide strings sum to {wide}, not 0")
     return a.spec.scalar(total)

@@ -42,12 +42,20 @@ class PathWitness:
     closed: bool
 
     def is_valid_for(self, g: SimplicialGraph) -> bool:
-        if sorted(self.order) != list(range(1, g.n + 1)):
+        order = self.order
+        n = g.n
+        if len(order) != n:
             return False
-        pairs = list(zip(self.order, self.order[1:]))
-        if self.closed:
-            pairs.append((self.order[-1], self.order[0]))
-        return all(g.has_edge(i, j) for i, j in pairs)
+        seen = 0
+        for v in order:
+            if not 1 <= v <= n:
+                return False
+            seen |= 1 << v
+        if seen != (1 << n + 1) - 2:  # some vertex twice
+            return False
+        adj = g.adj
+        ends = order[1:] + order[:1] if self.closed else order[1:]
+        return all(adj[i - 1] >> (j - 1) & 1 for i, j in zip(order, ends))
 
 
 def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:

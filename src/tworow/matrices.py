@@ -3,11 +3,15 @@
 Rows and columns are 1-indexed throughout the public API; entry(i, j) is the
 entry of row i in column j.  Matrices are immutable after construction.
 
-determinant and rank are one elimination core behind a field dispatch:
-_eliminate runs on int rows, modulo p over GF(p) and fraction-free
-(Bareiss) over Q once _integer_rows has cleared each row's denominators,
-and _eliminate_gf2 is its twin on rows packed into ints over GF(2).  Both
-return (rank, det); harness.sample_gl calls them on the rows it draws.
+determinant and rank are one elimination core behind a field dispatch.
+_eliminate runs on int rows: modulo p on rows packed into ints, one lane
+per column, so that clearing a column below its pivot costs one big-int
+multiply-add per row; and fraction-free (Bareiss) over Q.  Over Q it reads
+the rows with their denominators cleared, which each matrix computes once
+and caches (ExactMatrix._int_rows; the null-connectedness kernel and the
+track sums read the same cache).  _eliminate_gf2 is the twin on rows packed
+into bits over GF(2).  Both return (rank, det); harness.sample_gl calls
+them on the rows it draws.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ class ExactMatrix:
 
     Entries are stored as canonical raw values (int residues over GF(p),
     Fractions over Q); Scalars are built only for entry, row and
-    scalar_rows, on first use.
+    scalar_rows, and the integer rows only for _int_rows, on first use.
     """
 
-    __slots__ = ("spec", "m", "n", "_raw", "_scalars")
+    __slots__ = ("spec", "m", "n", "_raw", "_scalars", "_ints")
 
     def __init__(self, spec: FieldSpec, rows) -> None:
         raw = []
@@ -64,6 +68,7 @@ class ExactMatrix:
         self.n = width
         self._raw = raw
         self._scalars = None
+        self._ints = None
 
     @classmethod
     def _from_raw(cls, spec: FieldSpec, raw: tuple) -> "ExactMatrix":
@@ -106,6 +111,18 @@ class ExactMatrix:
     def raw(self):
         """Row-major tuple of plain values (int residues or Fractions)."""
         return self._raw
+
+    def _int_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, scale): the rows as int tuples and the product of the
+        multipliers that cleared their denominators, so that a product
+        taking one entry from each row is scale times the raw one.  Over
+        GF(p) these are the raw rows and 1.  Computed once."""
+        if self._ints is None:
+            if self.spec.kind is FieldKind.RATIONAL:
+                self._ints = _integer_rows(self._raw)
+            else:
+                self._ints = (self._raw, 1)
+        return self._ints
 
     def _check_row(self, i: int) -> None:
         if not 1 <= i <= self.m:
@@ -264,7 +281,7 @@ def wrap_minor(a: ExactMatrix, i: int, j: int) -> Scalar:
     return a.entry(i, n) * a.entry(j, 1) - a.entry(i, 1) * a.entry(j, n)
 
 
-def _integer_rows(raw) -> tuple[list[list[int]], int]:
+def _integer_rows(raw) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rows of Fractions as integer rows, each multiplied by the lcm of its
     denominators, and scale, the product of those multipliers."""
     rows = []
@@ -272,25 +289,27 @@ def _integer_rows(raw) -> tuple[list[list[int]], int]:
     for row in raw:
         d = lcm(*(f.denominator for f in row))
         scale *= d
-        rows.append([f.numerator * (d // f.denominator) for f in row])
-    return rows, scale
+        rows.append(tuple(f.numerator * (d // f.denominator) for f in row))
+    return tuple(rows), scale
 
 
 def _eliminate(rows, p: int) -> tuple[int, int]:
     """(rank, det) of int rows by forward elimination: modulo p for p > 0
-    (entries must lie in [0, p)), fraction-free (Bareiss) over the integers
-    for p = 0.  Columns without a pivot are skipped, so any shape works;
-    det is 0 unless the matrix is square and of full rank.
+    (entries must lie in [0, p)) by _eliminate_mod, fraction-free (Bareiss)
+    over the integers for p = 0.  Columns without a pivot are skipped, so
+    any shape works; det is 0 unless the matrix is square and of full rank.
 
     Below a pivot in column c only the columns right of c are updated; the
     rest is never read again.  Over the integers every updated entry is a
     minor of the input, so the division by the previous pivot is exact;
     that divisor carries over skipped columns.
     """
+    if p:
+        return _eliminate_mod(rows, p)
     mat = [list(row) for row in rows]
     m, n = len(mat), len(mat[0])
     r = 0
-    sign = det = prev = 1
+    sign = prev = 1
     for c in range(n):
         for piv in range(r, m):
             if mat[piv][c]:
@@ -304,26 +323,78 @@ def _eliminate(rows, p: int) -> tuple[int, int]:
         pivot = top[c]
         c1 = c + 1
         tail = top[c1:]
-        if p:
-            det = det * pivot % p
-            neg_inv = p - pow(pivot, -1, p)
-            for i in range(r + 1, m):
-                row = mat[i]
-                f = row[c] * neg_inv % p
-                if f:
-                    row[c1:] = [(x + f * y) % p for x, y in zip(row[c1:], tail)]
-        else:
-            for i in range(r + 1, m):
-                row = mat[i]
-                f = row[c]
-                row[c1:] = [(x * pivot - f * y) // prev for x, y in zip(row[c1:], tail)]
-            det = prev = pivot
+        for i in range(r + 1, m):
+            row = mat[i]
+            f = row[c]
+            row[c1:] = [(x * pivot - f * y) // prev for x, y in zip(row[c1:], tail)]
+        prev = pivot
         r += 1
         if r == m:
             break
     if r < n or m != n:
         return r, 0
-    return r, sign * det % p if p else sign * det
+    return r, sign * prev
+
+
+def _eliminate_mod(rows, p: int) -> tuple[int, int]:
+    """(rank, det) modulo p of int rows with entries in [0, p), on rows
+    packed into ints: column k is the lane of bits [w*k, w*k + w).
+
+    Clearing column c below its pivot adds f * tail to each row x whose
+    lane c is nonzero mod p, with f = -x_c / pivot, and tail the pivot
+    row's lanes right of c reduced mod p: one big-int multiply-add per row.
+    Lane c itself and the lanes left of it are never read again, so they
+    are left as they are.  Lanes are reduced only to test them for zero
+    and to build a tail, never in place, so they grow: a lane starts below
+    p and gains at most f * t <= (p-1)**2 once per pivot, of which there
+    are at most min(m, n).  The lane width w is the bit length of that
+    bound, (p-1) * (1 + min(m, n) * (p-1)), so lanes never carry into each
+    other.
+    """
+    m, n = len(rows), len(rows[0])
+    w = ((p - 1) * (1 + min(m, n) * (p - 1))).bit_length()
+    lane = (1 << w) - 1
+    packed = []
+    for row in rows:
+        x = 0
+        for v in reversed(row):
+            x = x << w | v
+        packed.append(x)
+    r = 0
+    sign = det = 1
+    for c in range(n):
+        sh = w * c
+        for piv in range(r, m):
+            v = packed[piv] >> sh & lane
+            if v and v % p:
+                break
+        else:
+            continue
+        top = packed[piv]
+        if piv != r:
+            packed[piv] = packed[r]
+            packed[r] = top
+            sign = -sign
+        pivot = v % p
+        det = det * pivot % p
+        # lanes past the pivot row's last nonzero one add nothing
+        tail = sum([(top >> t & lane) % p << t for t in range(sh + w, top.bit_length(), w)])
+        if tail:
+            neg_inv = p - pow(pivot, -1, p)
+            # the rows between r and piv were tested above: zero mod p in lane c
+            for i in range(piv + 1, m):
+                x = packed[i]
+                v = x >> sh & lane
+                if v:
+                    f = v * neg_inv % p
+                    if f:
+                        packed[i] = x + f * tail
+        r += 1
+        if r == m:
+            break
+    if r < n or m != n:
+        return r, 0
+    return r, sign * det % p
 
 
 def _eliminate_gf2(words, n: int) -> tuple[int, int]:
@@ -348,26 +419,25 @@ def _eliminate_gf2(words, n: int) -> tuple[int, int]:
 
 def _rank_det(a: ExactMatrix) -> tuple[int, object]:
     """(rank, raw determinant) of a, by the elimination its field calls for."""
-    raw = a.raw()
     spec = a.spec
     if spec.kind is FieldKind.GF2:
         words = []
-        for row in raw:
+        for row in a.raw():
             word = 0
             for v in row:
                 word = word << 1 | v
             words.append(word)
         return _eliminate_gf2(words, a.n)
-    if spec.kind is FieldKind.GFP:
-        return _eliminate(raw, spec.p)
-    rows, scale = _integer_rows(raw)
-    r, det = _eliminate(rows, 0)
-    return r, Fraction(det, scale)
+    p = spec.characteristic
+    rows, scale = a._int_rows()
+    r, det = _eliminate(rows, p)
+    return r, det if p else Fraction(det, scale)
 
 
 def determinant(a: ExactMatrix) -> Scalar:
-    """Exact determinant: bit-packed elimination over GF(2), modular
-    elimination over GF(p), fraction-free (Bareiss) elimination over Q."""
+    """Exact determinant: bit-packed elimination over GF(2), lane-packed
+    modular elimination over GF(p), fraction-free (Bareiss) elimination
+    over Q on the cached integer rows."""
     if not a.is_square:
         raise NotSquare(f"determinant of a {a.m}x{a.n} matrix")
     return a.spec.scalar(_rank_det(a)[1])

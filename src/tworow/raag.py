@@ -180,7 +180,7 @@ def _support_graph(t: PairingTriple, a: ExactMatrix) -> SimplicialGraph:
     iff some edge {x, y} gives the nonzero coordinate of q(w_i, w_j), the
     2x2 minor of rows i, j on columns (x, y)."""
     windows = [(x - 1, y - 1) for x, y in t.edges]
-    return non_null_graph(null_masks(a.raw(), a.spec, windows))
+    return non_null_graph(null_masks(a, windows))
 
 
 def basis_support_graph(t: PairingTriple, basis: BasisMatrix) -> SimplicialGraph:

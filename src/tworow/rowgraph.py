@@ -23,8 +23,8 @@ from functools import cached_property
 from math import gcd
 
 from .errors import DegenerateMatrix, IndexOutOfRange, NotSquare, ParseError, SizeBound
-from .fields import FieldKind, FieldSpec
-from .matrices import ExactMatrix, _integer_rows
+from .fields import FieldKind
+from .matrices import ExactMatrix
 
 # the largest vertex count SimplicialGraph.of accepts: its n masks of n bits
 # then take at most 2 MiB
@@ -164,38 +164,38 @@ def _null_connected_raw(ri, rj, vanishes, cyclic: bool) -> bool:
     return True
 
 
-def _projective_classes(raw, spec: FieldSpec):
-    """Rows to classify and the class key of a nonzero pair (a, b) of their
-    entries: b/a mod p over GF(p) (p itself when a = 0); over Q, the pair
-    divided by its gcd with a sign fixed, after clearing each row's
-    denominators.  Two nonzero pairs span a singular 2x2 minor exactly
-    when their keys agree."""
-    if spec.kind is FieldKind.RATIONAL:
-        rows = _integer_rows(raw)[0]
+def _projective_classes(a: ExactMatrix):
+    """Rows to classify and the class key of a nonzero pair (u, v) of their
+    entries: v/u mod p over GF(p) (p itself when u = 0); over Q, the pair
+    divided by its gcd with a sign fixed, on the rows with their
+    denominators cleared.  Two nonzero pairs span a singular 2x2 minor
+    exactly when their keys agree."""
+    rows = a._int_rows()[0]
+    if a.spec.kind is FieldKind.RATIONAL:
 
-        def key(a, b):
-            g = gcd(a, b)
-            if a < 0 or (not a and b < 0):
+        def key(u, v):
+            g = gcd(u, v)
+            if u < 0 or (not u and v < 0):
                 g = -g
-            return a // g, b // g
+            return u // g, v // g
 
         return rows, key
-    p = spec.p
+    p = a.spec.p
     inverse: dict[int, int] = {}
 
-    def key(a, b):
-        if not a:
+    def key(u, v):
+        if not u:
             return p
-        inv = inverse.get(a)
+        inv = inverse.get(u)
         if inv is None:
-            inv = inverse[a] = pow(a, -1, p)
-        return b * inv % p
+            inv = inverse[u] = pow(u, -1, p)
+        return v * inv % p
 
-    return raw, key
+    return rows, key
 
 
-def null_masks(raw, spec: FieldSpec, windows) -> list[int]:
-    """Null-connectedness of the rows of raw on a set of column windows.
+def null_masks(a: ExactMatrix, windows) -> list[int]:
+    """Null-connectedness of the rows of a on a set of column windows.
 
     Bit j of mask i is set iff rows i != j (0-based) span a singular 2x2
     minor on every column pair (x, y) in windows (0-based).  In each window
@@ -204,9 +204,9 @@ def null_masks(raw, spec: FieldSpec, windows) -> list[int]:
     O(m).  Rows with an empty mask drop out, and the scan stops once every
     mask is empty.
     """
-    m = len(raw)
+    m = a.m
     masks = [((1 << m) - 1) ^ (1 << i) for i in range(m)]
-    rows, key = _projective_classes(raw, spec)
+    rows, key = _projective_classes(a)
     live = range(m)
     for x, y in windows:
         live = [i for i in live if masks[i]]
@@ -217,9 +217,9 @@ def null_masks(raw, spec: FieldSpec, windows) -> list[int]:
         keyed = []
         for i in live:
             r = rows[i]
-            a, b = r[x], r[y]
-            if a or b:
-                k = key(a, b)
+            u, v = r[x], r[y]
+            if u or v:
+                k = key(u, v)
                 classes[k] = classes.get(k, 0) | 1 << i
                 keyed.append((i, k))
             else:
@@ -244,7 +244,7 @@ def row_null_masks(a: ExactMatrix, cyclic: bool = False) -> list[int]:
     windows = [(k, k + 1) for k in range(a.n - 1)]
     if cyclic and a.n > 1:
         windows.append((a.n - 1, 0))
-    return null_masks(a.raw(), a.spec, windows)
+    return null_masks(a, windows)
 
 
 def two_row_graph(a: ExactMatrix, cyclic: bool = False) -> SimplicialGraph:

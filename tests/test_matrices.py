@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -24,12 +25,16 @@ from tworow import (
     matrix_from_csv_text,
     permute_rows,
     rank,
+    two_row_graph,
     wrap_minor,
 )
 from tworow.fields import FieldSpec, Scalar
+from tworow.harness import sample_gl
+from tworow.matrices import _eliminate
 
 from .conftest import ALL_SPECS, random_matrix
 from .oracles import (
+    brute_graph_edges,
     brute_rank,
     determinant_generic,
     naive_determinant,
@@ -303,3 +308,112 @@ def test_raw_matches_scalar_rows(m, n, rnd):
         for i in range(1, m + 1):
             for j in range(1, n + 1):
                 assert a.entry(i, j).value == raw[i - 1][j - 1]
+
+
+GF7 = FieldSpec.gf(7)
+LANE_SPECS = [GF3, GF5, GF7, BIG_PRIME]
+
+
+@pytest.mark.parametrize("spec", LANE_SPECS, ids=lambda s: s.name)
+def test_lane_kernel_matches_oracles(spec):
+    # every shape up to 6 x 6: dense, sparse, and products U V of inner size
+    # k < min(m, n), so rank-deficient
+    rng = random.Random(43)
+    for m in range(1, 7):
+        for n in range(1, 7):
+            cases = [
+                [[random_entry(rng, spec, density) for _ in range(n)] for _ in range(m)]
+                for density in (1.0, 0.4)
+            ]
+            k = rng.randrange(min(m, n))
+            u = [[random_entry(rng, spec) for _ in range(k)] for _ in range(m)]
+            v = [[random_entry(rng, spec) for _ in range(n)] for _ in range(k)]
+            cases.append(
+                [[sum(u[i][t] * v[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+            )
+            for rows in cases:
+                a = ExactMatrix(spec, rows)
+                assert rank(a) == brute_rank(a), rows
+                if m == n:
+                    assert determinant(a).value == naive_determinant(a), rows
+            assert rank(ExactMatrix(spec, cases[-1])) <= k
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_lane_kernel_matches_bareiss_mod_p(n):
+    # Bareiss runs on small signed entries; the lane kernel on their
+    # residues, which lie near 0 or near p
+    p = BIG_PRIME.p
+    rng = random.Random(n)
+    small = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    r, det = _eliminate(small, 0)
+    assert r == n and det
+    assert _eliminate([[x % p for x in row] for row in small], p) == (r, det % p)
+    # a rank-deficient product, and a wide and a tall slice of it
+    k = n // 4
+    u, v = small[:k], [row[:k] for row in small]
+    prod = [[sum(v[i][t] * u[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+    for rows in (prod, prod[: n // 2], [row[: n // 2] for row in prod]):
+        residues = [[x % p for x in row] for row in rows]
+        assert _eliminate(residues, p) == _eliminate(rows, 0) == (k, 0)
+
+
+@pytest.mark.parametrize("spec", LANE_SPECS, ids=lambda s: s.name)
+def test_lane_kernel_lane_bound_stress(spec):
+    # entry (i, j) is -1-i above the diagonal and 1-j on and below it, so
+    # at pivot t the pivot, and every entry below it, is 1 and the rest of
+    # the pivot row is -1 mod p: each row is updated by every pivot above
+    # it with a tail, and each update adds (p-1)**2 to every lane on the
+    # right, the most it can.  Lanes then come within p of the bound the
+    # lane width is taken from, and a lane one bit narrower fails on many
+    # of these shapes.
+    p = spec.p
+    for n in range(2, 25):
+        for m in (n - 1, n, n + 2):
+            rows = [
+                [(-1 - i) % p if j > i else (1 - j) % p for j in range(n)] for i in range(m)
+            ]
+            assert _eliminate(rows, p) == (min(m, n), int(m == n)), (m, n)
+
+
+# digests of seeded sample_gl draws, n = 1..8 and seeds 0..5, as the
+# list-based modular elimination drew them
+SAMPLE_GL_DIGESTS = {3: "c28369714abfd67f", 5: "4f36a67be052db80", 7: "8268a66cbbfd0ce0"}
+
+
+@pytest.mark.parametrize("q", sorted(SAMPLE_GL_DIGESTS))
+def test_sample_gl_draws_unchanged(q):
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for seed in range(6):
+            digest.update(repr(sample_gl(n, q, random.Random(seed)).raw()).encode())
+    assert digest.hexdigest()[:16] == SAMPLE_GL_DIGESTS[q]
+
+
+def test_integer_row_cache_holds_tuples():
+    a = ExactMatrix(QQ, [["1/2", "2/3", "0"], ["-3/4", "5", "7/6"], ["1", "-1/9", "2/5"]])
+    raw = a.raw()
+    d = determinant(a)
+    rows, scale = a._int_rows()
+    assert rows == ((3, 4, 0), (-9, 60, 14), (45, -5, 18)) and scale == 6 * 12 * 45
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert d.value == naive_determinant(a)
+    cache = a._int_rows()
+    assert determinant(a) == d and rank(a) == 3
+    assert a.raw() is raw and a._int_rows() is cache
+    # over GF(p) the raw rows are already integers
+    g = ExactMatrix(GF5, [[1, 2], [3, 4]])
+    assert g._int_rows() == (g.raw(), 1)
+
+
+def test_integer_row_cache_matches_oracles():
+    # mixed denominators, so rows are scaled by different multipliers
+    rng = random.Random(61)
+    for _ in range(40):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = ExactMatrix(QQ, [[random_entry(rng, QQ, 0.7) for _ in range(n)] for _ in range(m)])
+        for cyclic in (False, True):
+            assert set(two_row_graph(a, cyclic).edges) == brute_graph_edges(a, cyclic)
+        assert rank(a) == brute_rank(a)
+        if m == n:
+            assert determinant(a).value == naive_determinant(a)

@@ -49,6 +49,22 @@ def test_cli_imports_only_public_names():
     assert private == []
 
 
+def test_only_matrices_clears_denominators():
+    # every other module reads a matrix's cached integer rows, so that each
+    # matrix clears its denominators once
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "_integer_rows":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # seeded output each script must print for the arguments below
 SCRIPT_OUTPUT = {
     "completeness_table.py": (

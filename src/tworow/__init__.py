@@ -1,157 +1,84 @@
 """Exact linear algebra behind two-row graphs: 1-block decomposition,
 Hamiltonicity of row graphs, cohomology pairings of right-angled Artin
-groups, and graph realization."""
+groups, and graph realization.
 
-from .blocks import (
-    BlockPartition,
-    OneBlock,
-    OneTrack,
-    TrackMember,
-    TrackString,
-    block_partition,
-    complete_tracks,
-    det_by_tracks,
-    find_one_blocks,
-    string_of,
-    track_of_string,
-    track_sum,
-)
-from .errors import (
-    AssertionFailure,
-    DegenerateGraph,
-    DegenerateMatrix,
-    DimensionMismatch,
-    DivisionByZero,
-    FieldMismatch,
-    IncompleteTrack,
-    IndexOutOfRange,
-    NotSquare,
-    ParseError,
-    SingularBasis,
-    SizeBound,
-    SizeMismatch,
-    TwoRowError,
-    ZeroEntryInString,
-)
-from .fields import GF2, GF3, GF5, QQ, FieldKind, FieldSpec, Scalar, parse_field
-from .hamilton import (
-    PathWitness,
-    graph_hamiltonicity,
-    hamiltonian_cycle,
-    hamiltonian_path,
-    traceable_ordering,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentMode,
-    ExperimentReport,
-    run_experiment,
-    sample_gl,
-    trial_rng,
-)
-from .matrices import (
-    ExactMatrix,
-    RowPermutation,
-    canonical_json,
-    consecutive_minor,
-    determinant,
-    matrix_from_csv_text,
-    permute_rows,
-    rank,
-    wrap_minor,
-)
-from .raag import (
-    BasisMatrix,
-    PairingTriple,
-    basis_hamiltonian_witness,
-    basis_support_graph,
-    cup_pairing,
-    graph_from_text,
-    pair_vectors,
-)
-from .realize import RealizationResult, expected_columns, realize, verify_realization
-from .rowgraph import (
-    SimplicialGraph,
-    is_cyclically_square_traceable,
-    is_square_traceable,
-    null_connected,
-    opp_graph,
-    two_row_graph,
-)
+Public names resolve on first use (PEP 562): `import tworow` loads no
+submodule, and each name's home module is imported when the name is first
+looked up, then bound here so that later lookups are plain attribute reads.
+"""
+
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssertionFailure",
-    "BasisMatrix",
-    "BlockPartition",
-    "DegenerateGraph",
-    "DegenerateMatrix",
-    "DimensionMismatch",
-    "DivisionByZero",
-    "ExactMatrix",
-    "ExperimentConfig",
-    "ExperimentMode",
-    "ExperimentReport",
-    "FieldKind",
-    "FieldMismatch",
-    "FieldSpec",
-    "GF2",
-    "GF3",
-    "GF5",
-    "IncompleteTrack",
-    "IndexOutOfRange",
-    "NotSquare",
-    "OneBlock",
-    "OneTrack",
-    "PairingTriple",
-    "ParseError",
-    "PathWitness",
-    "QQ",
-    "RealizationResult",
-    "RowPermutation",
-    "Scalar",
-    "SimplicialGraph",
-    "SingularBasis",
-    "SizeBound",
-    "SizeMismatch",
-    "TrackMember",
-    "TrackString",
-    "TwoRowError",
-    "ZeroEntryInString",
-    "basis_hamiltonian_witness",
-    "basis_support_graph",
-    "block_partition",
-    "canonical_json",
-    "complete_tracks",
-    "consecutive_minor",
-    "cup_pairing",
-    "det_by_tracks",
-    "determinant",
-    "expected_columns",
-    "find_one_blocks",
-    "graph_from_text",
-    "graph_hamiltonicity",
-    "hamiltonian_cycle",
-    "hamiltonian_path",
-    "is_cyclically_square_traceable",
-    "is_square_traceable",
-    "matrix_from_csv_text",
-    "null_connected",
-    "opp_graph",
-    "pair_vectors",
-    "parse_field",
-    "permute_rows",
-    "rank",
-    "realize",
-    "run_experiment",
-    "sample_gl",
-    "string_of",
-    "track_of_string",
-    "track_sum",
-    "traceable_ordering",
-    "trial_rng",
-    "two_row_graph",
-    "verify_realization",
-    "wrap_minor",
-]
+# home module of each public name
+_EXPORTS = {
+    "errors": (
+        "AssertionFailure", "DegenerateGraph", "DegenerateMatrix", "DimensionMismatch",
+        "DivisionByZero", "FieldMismatch", "IncompleteTrack", "IndexOutOfRange",
+        "NotSquare", "ParseError", "SingularBasis", "SizeBound", "SizeMismatch",
+        "TwoRowError", "ZeroEntryInString",
+    ),
+    "fields": (
+        "FieldKind", "FieldSpec", "GF2", "GF3", "GF5", "QQ", "Scalar", "parse_field",
+    ),
+    "matrices": (
+        "ExactMatrix", "RowPermutation", "canonical_json", "consecutive_minor",
+        "determinant", "matrix_from_csv_text", "permute_rows", "rank", "wrap_minor",
+    ),
+    "rowgraph": (
+        "SimplicialGraph", "is_cyclically_square_traceable", "is_square_traceable",
+        "null_connected", "opp_graph", "two_row_graph",
+    ),
+    "hamilton": (
+        "PathWitness", "graph_hamiltonicity", "hamiltonian_cycle", "hamiltonian_path",
+        "traceable_ordering",
+    ),
+    "blocks": (
+        "BlockPartition", "OneBlock", "OneTrack", "TrackMember", "TrackString",
+        "block_partition", "complete_tracks", "det_by_tracks", "find_one_blocks",
+        "string_of", "track_of_string", "track_sum",
+    ),
+    "raag": (
+        "BasisMatrix", "PairingTriple", "basis_hamiltonian_witness",
+        "basis_support_graph", "cup_pairing", "graph_from_text", "pair_vectors",
+    ),
+    "realize": (
+        "RealizationResult", "expected_columns", "realize", "verify_realization",
+    ),
+    "harness": (
+        "ExperimentConfig", "ExperimentMode", "ExperimentReport", "run_experiment",
+        "sample_gl", "trial_rng",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())
+
+
+class _Package(type(sys)):
+    """The package module.  Importing a submodule binds it as a package
+    attribute; where the submodule shares its name with a public function
+    (`realize`), the function is bound instead, whichever is imported first."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if _HOME.get(name) == name and isinstance(value, type(sys)):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

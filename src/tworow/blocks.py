@@ -313,9 +313,14 @@ def track_of_string(
     run while consecutive string cells share one block, else cut."""
     string_of(a, sigma)  # validates shape and nonzero entries
     owner = _one_blocks(a, cyclic)[1] if a.n >= 2 else ((-1,),)
-    image = sigma.image
+    return _track_on(owner, sigma.image, cyclic)
+
+
+def _track_on(owner, image: tuple[int, ...], cyclic: bool) -> OneTrack:
+    """track_of_string on the owner grid of the matrix, for callers that
+    classify many of its nonzero strings against one partition."""
     cells = [owner[r - 1][p] for p, r in enumerate(image)]
-    return _canonical_track(cells, image, cyclic, a.n)
+    return _canonical_track(cells, image, cyclic, len(image))
 
 
 def _check_enumerable(a: ExactMatrix, max_size: int) -> None:

@@ -16,30 +16,15 @@ import json
 import sys
 from pathlib import Path
 
-from .blocks import (
-    DEFAULT_TRACK_BOUND,
-    OneTrack,
-    block_partition,
-    complete_tracks,
-    det_by_tracks,
-    track_of_string,
-    track_sum,
-)
 from .errors import AssertionFailure, ParseError, TwoRowError
-from .fields import GF2, parse_field
-from .harness import ExperimentConfig, ExperimentMode, run_experiment
-from .hamilton import graph_hamiltonicity, traceable_ordering
-from .matrices import ExactMatrix, RowPermutation, canonical_json, determinant
-from .matrices import matrix_from_csv_text
-from .raag import (
-    BasisMatrix,
-    basis_hamiltonian_witness,
-    basis_support_graph,
-    cup_pairing,
-    graph_from_text,
-)
-from .realize import realize, verify_realization
-from .rowgraph import SimplicialGraph, opp_graph, two_row_graph
+
+# Each handler imports the modules it runs, so that one call loads only its
+# own part of the pipeline; these names serve the annotations alone.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .blocks import OneTrack
+    from .matrices import ExactMatrix, RowPermutation
+    from .rowgraph import SimplicialGraph
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -56,6 +41,9 @@ def _read_text(path: str) -> str:
 
 def load_matrix(path: str, field: str | None) -> ExactMatrix:
     """JSON documents carry their own field; CSV needs --field (default gf2)."""
+    from .fields import GF2, parse_field
+    from .matrices import ExactMatrix, matrix_from_csv_text
+
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         try:
@@ -74,10 +62,14 @@ def load_matrix(path: str, field: str | None) -> ExactMatrix:
 
 
 def load_graph(path: str):
+    from .raag import graph_from_text
+
     return graph_from_text(_read_text(path))
 
 
 def _parse_sigma(text: str) -> RowPermutation:
+    from .matrices import RowPermutation
+
     parts = text.replace(",", " ").split()
     try:
         image = tuple(int(p) for p in parts)
@@ -87,6 +79,8 @@ def _parse_sigma(text: str) -> RowPermutation:
 
 
 def _emit(doc: dict) -> None:
+    from .matrices import canonical_json
+
     sys.stdout.write(canonical_json(doc))
 
 
@@ -118,6 +112,8 @@ def _render_graph(g: SimplicialGraph, flavor: str, fmt: str) -> int:
 
 
 def cmd_graph(args) -> int:
+    from .rowgraph import opp_graph, two_row_graph
+
     a = load_matrix(args.matrix, args.field)
     if args.opp:
         return _render_graph(opp_graph(a, args.cyclic), "opp", args.format)
@@ -172,6 +168,8 @@ def _block_outline_text(a: ExactMatrix, partition) -> str:
 
 
 def cmd_blocks(args) -> int:
+    from .blocks import block_partition
+
     a = load_matrix(args.matrix, args.field)
     partition = block_partition(a, args.cyclic)
     if args.format == "text":
@@ -181,7 +179,16 @@ def cmd_blocks(args) -> int:
     return EXIT_OK
 
 
+def _track_bound(args) -> int:
+    """--max-enum, or the library's bound when it is not given."""
+    from .blocks import DEFAULT_TRACK_BOUND
+
+    return DEFAULT_TRACK_BOUND if args.max_enum is None else args.max_enum
+
+
 def cmd_tracks(args) -> int:
+    from .blocks import complete_tracks, track_of_string, track_sum
+
     a = load_matrix(args.matrix, args.field)
     if args.sigma:
         sigma = _parse_sigma(args.sigma)
@@ -190,7 +197,7 @@ def cmd_tracks(args) -> int:
         doc["sum"] = str(track_sum(a, track))
         _emit(doc)
         return EXIT_OK
-    tracks = complete_tracks(a, args.cyclic, args.max_enum)
+    tracks = complete_tracks(a, args.cyclic, _track_bound(args))
     _emit(
         {
             "count": len(tracks),
@@ -203,14 +210,20 @@ def cmd_tracks(args) -> int:
 def cmd_det(args) -> int:
     a = load_matrix(args.matrix, args.field)
     if args.method == "tracks":
-        value = det_by_tracks(a, args.cyclic, args.max_enum)
+        from .blocks import det_by_tracks
+
+        value = det_by_tracks(a, args.cyclic, _track_bound(args))
     else:
+        from .matrices import determinant
+
         value = determinant(a)
     _emit({"determinant": str(value), "method": args.method})
     return EXIT_OK
 
 
 def cmd_trace(args) -> int:
+    from .hamilton import traceable_ordering
+
     a = load_matrix(args.matrix, args.field)
     sigma = traceable_ordering(a, args.cyclic)
     if sigma is None:
@@ -224,6 +237,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    from .realize import realize, verify_realization
+
     graph = load_graph(args.graph)
     result = realize(graph)
     ok = verify_realization(graph, result)
@@ -238,6 +253,9 @@ def cmd_realize(args) -> int:
 
 
 def cmd_raag(args) -> int:
+    from .hamilton import graph_hamiltonicity
+    from .raag import BasisMatrix, basis_hamiltonian_witness, basis_support_graph, cup_pairing
+
     graph = load_graph(args.graph)
     if args.basis is None:
         witness = graph_hamiltonicity(graph, args.cyclic)
@@ -264,6 +282,8 @@ def cmd_raag(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .harness import ExperimentConfig, ExperimentMode, run_experiment
+
     cfg = ExperimentConfig(
         n=args.n,
         q=args.q,
@@ -309,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-enum",
         type=int,
-        default=DEFAULT_TRACK_BOUND,
         help="size bound for the factorial-cost enumeration",
     )
     p.set_defaults(handler=cmd_tracks)
@@ -317,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("det", help="determinant, by elimination or by tracks")
     add_matrix_flags(p)
     p.add_argument("--method", choices=["elimination", "tracks"], default="elimination")
-    p.add_argument("--max-enum", type=int, default=DEFAULT_TRACK_BOUND)
+    p.add_argument("--max-enum", type=int)
     p.set_defaults(handler=cmd_det)
 
     p = sub.add_parser("trace", help="row order making the matrix square-traceable")
@@ -339,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="randomized sampling experiments")
     p.add_argument(
         "--mode",
-        choices=[m.value for m in ExperimentMode],
+        choices=["completeness", "hamiltonicity-sweep"],  # ExperimentMode values
         required=True,
     )
     p.add_argument("--n", type=int, required=True)

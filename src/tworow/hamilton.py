@@ -152,37 +152,40 @@ def _completable(
 
 
 def _checked(witness: PathWitness, g: SimplicialGraph) -> PathWitness:
-    """Postcondition of both searches, kept under python -O."""
+    """Postcondition of graph_hamiltonicity, kept under python -O."""
     if not witness.is_valid_for(g):
         raise AssertionFailure(f"search returned {witness.order}, not a valid witness")
     return witness
 
 
-def hamiltonian_path(g: SimplicialGraph) -> PathWitness | None:
-    if g.n == 1:
-        return PathWitness((1,), False)
-    order = _search(g.adj, closed=False)
+def _witness(g: SimplicialGraph, cyclic: bool) -> PathWitness | None:
+    """graph_hamiltonicity before its postcondition: the witness as the
+    search returns it, or None."""
+    if g.n < (3 if cyclic else 2):
+        return None if cyclic else PathWitness((1,), False)
+    order = _search(g.adj, cyclic)
     if order is None:
         return None
-    return _checked(PathWitness(tuple(v + 1 for v in order), False), g)
+    return PathWitness(tuple(v + 1 for v in order), cyclic)
+
+
+def hamiltonian_path(g: SimplicialGraph) -> PathWitness | None:
+    return graph_hamiltonicity(g)
 
 
 def hamiltonian_cycle(g: SimplicialGraph) -> PathWitness | None:
     if g.n < 3:
         raise DegenerateGraph(f"cycles need at least 3 vertices, got {g.n}")
-    order = _search(g.adj, closed=True)
-    if order is None:
-        return None
-    return _checked(PathWitness(tuple(v + 1 for v in order), True), g)
+    return graph_hamiltonicity(g, True)
 
 
 def graph_hamiltonicity(graph: SimplicialGraph, cyclic: bool = False) -> PathWitness | None:
     """The lexicographically smallest Hamiltonian path of the graph, or
-    cycle when cyclic.  This is the one home of the degenerate sizes of a
-    Hamiltonian witness: one vertex is a path, and a cycle needs three."""
-    if not cyclic:
-        return hamiltonian_path(graph)
-    return hamiltonian_cycle(graph) if graph.n >= 3 else None
+    cycle when cyclic, checked against the graph.  This (through _witness)
+    is the one home of the degenerate sizes of a Hamiltonian witness: one
+    vertex is a path, and a cycle needs three."""
+    witness = _witness(graph, cyclic)
+    return None if witness is None else _checked(witness, graph)
 
 
 def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation | None:
@@ -195,7 +198,8 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
         raise NotSquare(f"need a square matrix, got {a.m}x{a.n}")
     if a.n == 1:  # no window, so nothing for the postcondition to check
         return None if cyclic else RowPermutation.identity(1)
-    witness = graph_hamiltonicity(two_row_graph(a, cyclic), cyclic)
+    # the witness is checked once, on the permuted matrix below
+    witness = _witness(two_row_graph(a, cyclic), cyclic)
     if witness is None:
         return None
     sigma = RowPermutation(witness.order)

@@ -476,10 +476,14 @@ def test_string_partition_into_tracks(cyclic):
         raw = a.raw()
         strings = nonzero_strings(a)
         tracks = complete_tracks(a, cyclic)
+        # one partition per matrix, where track_of_string builds one per call
+        owner = block_partition(a, cyclic).owner
         by_track = {}
         for image in strings:
-            tr = track_of_string(a, RowPermutation(image), cyclic)
+            tr = blocks._track_on(owner, image, cyclic)
             by_track.setdefault(tr, []).append(image)
+        for image in strings[:1]:  # the public form, on the first string
+            assert track_of_string(a, RowPermutation(image), cyclic) == next(iter(by_track))
         # strings come in lexicographic order: tracks in first-seen order
         assert tracks == list(by_track)
         # member-wise bijection count: every track's string fiber is full

@@ -3,7 +3,8 @@ import json
 import random
 from fractions import Fraction
 
-from tworow import canonical_json
+from tworow import ExperimentMode, canonical_json
+from tworow.blocks import DEFAULT_TRACK_BOUND
 from tworow.cli import main
 
 from .conftest import FIXTURES
@@ -235,6 +236,33 @@ def test_tracks_over_bound_track(capsys, tmp_path):
         code, out, err = run_cli(capsys, *base, *extra)
         assert code == 2 and out == ""
         assert err == "error: track has 80640 strings, above the bound 8!\n"
+
+
+def test_track_bound_defaults_to_the_library_bound(capsys, tmp_path):
+    # --max-enum falls back to DEFAULT_TRACK_BOUND in both subcommands
+    n = DEFAULT_TRACK_BOUND + 1
+    path = tmp_path / "id.csv"
+    path.write_text("".join(
+        ",".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n)
+    ))
+    want = f"error: n={n} exceeds the track enumeration bound {DEFAULT_TRACK_BOUND}\n"
+    for argv in (("tracks",), ("det", "--method", "tracks")):
+        code, out, err = run_cli(capsys, *argv, "--matrix", str(path))
+        assert (code, out, err) == (2, "", want)
+    code, out, _ = run_cli(
+        capsys, "det", "--method", "tracks", "--matrix", str(path), "--max-enum", str(n)
+    )
+    assert code == 0 and json.loads(out)["determinant"] == "1"
+
+
+def test_experiment_mode_choices_are_the_experiment_modes(capsys):
+    # the parser lists the modes without importing the harness
+    code, out, err = run_cli(
+        capsys, "experiment", "--mode", "bogus", "--n", "2", "--q", "2", "--trials", "1"
+    )
+    choices = ", ".join(repr(m.value) for m in ExperimentMode)
+    assert code == 2 and out == ""
+    assert err.endswith(f"invalid choice: 'bogus' (choose from {choices})\n")
 
 
 def test_det_methods(capsys):

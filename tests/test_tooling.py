@@ -1,6 +1,7 @@
 """Source-level checks on the package itself."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +34,88 @@ def test_public_names_resolve():
     missing = [name for name in tworow.__all__ if not hasattr(tworow, name)]
     assert missing == []
     assert len(set(tworow.__all__)) == len(tworow.__all__)
+
+
+def test_dir_lists_public_names():
+    assert set(tworow.__all__) <= set(dir(tworow))
+
+
+def _probe(code: str, *argv: str):
+    """Run code in a fresh interpreter on this source tree; it prints one
+    JSON value on its last line of output, which is returned."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# the tworow modules loaded so far, as an expression in probe code
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'tworow')"
+
+
+def test_realize_stays_the_function_after_its_submodule_loads():
+    # importing tworow.realize binds the submodule as a package attribute,
+    # which must not shadow the public function of the same name
+    code = (
+        "import tworow\n"
+        "from tworow.realize import RealizationResult\n"
+        "from tworow import realize\n"
+        "r = tworow.realize(tworow.SimplicialGraph.of(2, [(1, 2)]))\n"
+        "import json\n"
+        "print(json.dumps([realize is tworow.realize, type(realize).__name__,\n"
+        "                  realize.__module__, isinstance(r, RealizationResult)]))\n"
+    )
+    assert _probe(code) == [True, "function", "tworow.realize", True]
+
+
+def test_bare_import_loads_no_submodule():
+    assert _probe(f"import json, sys, tworow\nprint(json.dumps({LOADED}))") == ["tworow"]
+
+
+# beyond tworow, tworow.cli and tworow.errors: the modules each subcommand
+# loads, on the fixtures, with its exit code
+CLI_LOADS = {
+    "graph": (["graph", "--matrix", "golden_7x7.json"], 0,
+              ["fields", "matrices", "rowgraph"]),
+    "blocks": (["blocks", "--matrix", "golden_7x7.json"], 0,
+               ["blocks", "fields", "matrices", "rowgraph"]),
+    "tracks": (["tracks", "--matrix", "id4.json"], 0,
+               ["blocks", "fields", "matrices", "rowgraph"]),
+    "det": (["det", "--matrix", "golden_7x7.json"], 0,
+            ["fields", "matrices"]),
+    "det-tracks": (["det", "--matrix", "golden_7x7.json", "--method", "tracks"], 0,
+                   ["blocks", "fields", "matrices", "rowgraph"]),
+    "trace": (["trace", "--matrix", "golden_7x7.json"], 0,
+              ["fields", "hamilton", "matrices", "rowgraph"]),
+    "realize": (["realize", "--graph", "star13.json"], 0,
+                ["fields", "hamilton", "matrices", "raag", "realize", "rowgraph"]),
+    "raag": (["raag", "--graph", "star13.json"], 3,
+             ["fields", "hamilton", "matrices", "raag", "rowgraph"]),
+    "experiment": (["experiment", "--mode", "completeness", "--n", "3", "--q", "2",
+                    "--trials", "3"], 0,
+                   ["fields", "hamilton", "harness", "matrices", "rowgraph"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_LOADS))
+def test_cli_subcommand_loads_only_its_modules(case):
+    argv, want_code, modules = CLI_LOADS[case]
+    fixtures = ROOT / "tests" / "fixtures"
+    argv = [str(fixtures / a) if a.endswith(".json") else a for a in argv]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from tworow.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        f"print(json.dumps([code, {LOADED}]))\n"
+    )
+    got_code, loaded = _probe(code, *argv)
+    assert got_code == want_code
+    want = ["tworow", "tworow.cli", "tworow.errors"] + [f"tworow.{m}" for m in modules]
+    assert loaded == sorted(want)
 
 
 def test_cli_imports_only_public_names():

@@ -28,8 +28,8 @@ _EXPORTS = {
         "determinant", "matrix_from_csv_text", "permute_rows", "rank", "wrap_minor",
     ),
     "rowgraph": (
-        "SimplicialGraph", "is_cyclically_square_traceable", "is_square_traceable",
-        "null_connected", "opp_graph", "two_row_graph",
+        "SimplicialGraph", "graph_from_text", "is_cyclically_square_traceable",
+        "is_square_traceable", "null_connected", "opp_graph", "two_row_graph",
     ),
     "hamilton": (
         "PathWitness", "graph_hamiltonicity", "hamiltonian_cycle", "hamiltonian_path",
@@ -42,7 +42,7 @@ _EXPORTS = {
     ),
     "raag": (
         "BasisMatrix", "PairingTriple", "basis_hamiltonian_witness",
-        "basis_support_graph", "cup_pairing", "graph_from_text", "pair_vectors",
+        "basis_support_graph", "cup_pairing", "pair_vectors",
     ),
     "realize": (
         "RealizationResult", "expected_columns", "realize", "verify_realization",

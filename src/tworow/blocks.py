@@ -30,7 +30,6 @@ of larger index, and track_sum takes one string's sign from image_sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -40,6 +39,7 @@ from .errors import (
     NotSquare,
     SizeBound,
     SizeMismatch,
+    Value,
     ZeroEntryInString,
 )
 from .fields import Scalar
@@ -49,15 +49,22 @@ from .rowgraph import row_null_masks
 DEFAULT_TRACK_BOUND = 8
 
 
-@dataclass(frozen=True)
-class OneBlock:
+class OneBlock(Value):
     """Rows I (sorted, 1-based) on columns col_start..col_start+col_len-1,
     taken modulo n when cyclic."""
 
-    rows: tuple[int, ...]
-    col_start: int
-    col_len: int
-    cyclic: bool
+    __slots__ = ("rows", "col_start", "col_len", "cyclic")
+
+    def __init__(
+        self, rows: tuple[int, ...], col_start: int, col_len: int, cyclic: bool
+    ) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "col_start", col_start)
+        object.__setattr__(self, "col_len", col_len)
+        object.__setattr__(self, "cyclic", cyclic)
+
+    def _key(self) -> tuple:
+        return self.rows, self.col_start, self.col_len, self.cyclic
 
     def columns(self, n: int) -> tuple[int, ...]:
         return tuple((self.col_start - 1 + t) % n + 1 for t in range(self.col_len))
@@ -73,16 +80,28 @@ class OneBlock:
         }
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """The unique split of all cells into 1-blocks and 1x1 singletons."""
+class BlockPartition(Value):
+    """The unique split of all cells into 1-blocks and 1x1 singletons.
 
-    blocks: tuple[OneBlock, ...]
-    nonzero_singletons: tuple[tuple[int, int], ...]
-    zero_singletons: tuple[tuple[int, int], ...]
-    # owner[i-1][c-1] is the index in blocks of the block holding cell
-    # (i, c), or -1 for a singleton
-    owner: tuple[tuple[int, ...], ...]
+    owner[i-1][c-1] is the index in blocks of the block holding cell
+    (i, c), or -1 for a singleton."""
+
+    __slots__ = ("blocks", "nonzero_singletons", "zero_singletons", "owner")
+
+    def __init__(
+        self,
+        blocks: tuple[OneBlock, ...],
+        nonzero_singletons: tuple[tuple[int, int], ...],
+        zero_singletons: tuple[tuple[int, int], ...],
+        owner: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "nonzero_singletons", nonzero_singletons)
+        object.__setattr__(self, "zero_singletons", zero_singletons)
+        object.__setattr__(self, "owner", owner)
+
+    def _key(self) -> tuple:
+        return self.blocks, self.nonzero_singletons, self.zero_singletons, self.owner
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,14 +111,19 @@ class BlockPartition:
         }
 
 
-@dataclass(frozen=True)
-class TrackMember:
+class TrackMember(Value):
     """One track member: a single nonzero cell (one row, one column) or a
     k x k minor inside a 1-block (k >= 2 sorted rows, k consecutive columns)."""
 
-    rows: tuple[int, ...]
-    col_start: int
-    col_len: int
+    __slots__ = ("rows", "col_start", "col_len")
+
+    def __init__(self, rows: tuple[int, ...], col_start: int, col_len: int) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "col_start", col_start)
+        object.__setattr__(self, "col_len", col_len)
+
+    def _key(self) -> tuple:
+        return self.rows, self.col_start, self.col_len
 
     @property
     def is_minor(self) -> bool:
@@ -109,10 +133,15 @@ class TrackMember:
         return tuple((self.col_start - 1 + t) % n + 1 for t in range(self.col_len))
 
 
-@dataclass(frozen=True)
-class OneTrack:
-    members: tuple[TrackMember, ...]
-    cyclic: bool
+class OneTrack(Value):
+    __slots__ = ("members", "cyclic")
+
+    def __init__(self, members: tuple[TrackMember, ...], cyclic: bool) -> None:
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "cyclic", cyclic)
+
+    def _key(self) -> tuple:
+        return self.members, self.cyclic
 
     @property
     def total_cols(self) -> int:
@@ -126,12 +155,17 @@ class OneTrack:
         return any(m.is_minor for m in self.members)
 
 
-@dataclass(frozen=True)
-class TrackString:
+class TrackString(Value):
     """The diagonal-style entry string picked by sigma: entry sigma(i) in column i."""
 
-    sigma: RowPermutation
-    entries: tuple[Scalar, ...]
+    __slots__ = ("sigma", "entries")
+
+    def __init__(self, sigma: RowPermutation, entries: tuple[Scalar, ...]) -> None:
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "entries", entries)
+
+    def _key(self) -> tuple:
+        return self.sigma, self.entries
 
 
 def string_of(a: ExactMatrix, sigma: RowPermutation) -> TrackString:

@@ -62,7 +62,7 @@ def load_matrix(path: str, field: str | None) -> ExactMatrix:
 
 
 def load_graph(path: str):
-    from .raag import graph_from_text
+    from .rowgraph import graph_from_text
 
     return graph_from_text(_read_text(path))
 

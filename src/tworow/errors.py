@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of the value classes, shared across the
+package."""
 
 
 class TwoRowError(Exception):
@@ -63,3 +64,42 @@ class AssertionFailure(TwoRowError):
 
 class ParseError(TwoRowError, ValueError):
     """Malformed input text or document."""
+
+
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in __slots__ (a name with a leading
+    underscore, such as __dict__ for a cached property, is not a field),
+    sets them in its own __init__ through object.__setattr__, and returns
+    them in the same order from _key.  Equality and hashing go by that
+    field tuple and repr shows it as Name(field=value, ...), as for a
+    frozen dataclass; assignment and deletion raise AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        names = [name for name in type(self).__slots__ if name[0] != "_"]
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._key()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import DivisionByZero, FieldMismatch, ParseError, Value
 
 _MAX_PRIME = 1 << 31
 
@@ -48,33 +47,30 @@ class FieldKind(enum.Enum):
     RATIONAL = "rational"
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Value):
     """A supported coefficient field: GF(2), GF(p) for an odd prime p, or Q.
 
     GF(2) is its own kind (it admits bit-packed fast paths); ``gf(2)`` parses
     to it, so every field has exactly one spec value.
     """
 
-    kind: FieldKind
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self) -> None:
-        if self.kind is FieldKind.GF2:
-            if self.p != 2:
+    def __init__(self, kind: FieldKind, p: int | None = None) -> None:
+        if kind is FieldKind.GF2:
+            if p != 2:
                 raise ParseError("GF2 spec must carry p=2; use FieldSpec.gf(2)")
-        elif self.kind is FieldKind.GFP:
-            if (
-                not isinstance(self.p, int)
-                or not (2 < self.p < _MAX_PRIME)
-                or not is_prime(self.p)
-            ):
-                raise ParseError(
-                    f"gf(p) needs an odd prime p below 2**31, got {self.p!r}"
-                )
+        elif kind is FieldKind.GFP:
+            if not isinstance(p, int) or not (2 < p < _MAX_PRIME) or not is_prime(p):
+                raise ParseError(f"gf(p) needs an odd prime p below 2**31, got {p!r}")
         else:
-            if self.p is not None:
+            if p is not None:
                 raise ParseError("rational spec carries no modulus")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+
+    def _key(self) -> tuple:
+        return self.kind, self.p
 
     @staticmethod
     def gf(p: int) -> "FieldSpec":

@@ -19,9 +19,7 @@ adjacency masks as they are stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import AssertionFailure, DegenerateGraph, NotSquare
+from .errors import AssertionFailure, DegenerateGraph, NotSquare, Value
 from .matrices import ExactMatrix, RowPermutation, permute_rows
 from .rowgraph import (
     SimplicialGraph,
@@ -33,13 +31,18 @@ from .rowgraph import (
 MEMO_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(Value):
     """A vertex order visiting every vertex once; closed means last-to-first
     adjacency is also required (cycle)."""
 
-    order: tuple[int, ...]
-    closed: bool
+    __slots__ = ("order", "closed")
+
+    def __init__(self, order: tuple[int, ...], closed: bool) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "closed", closed)
+
+    def _key(self) -> tuple:
+        return self.order, self.closed
 
     def is_valid_for(self, g: SimplicialGraph) -> bool:
         order = self.order

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .errors import AssertionFailure, ParseError, SizeMismatch
+from .errors import AssertionFailure, ParseError, SizeMismatch, Value
 from .fields import FieldSpec, is_prime
 from .hamilton import hamiltonian_cycle, hamiltonian_path
 from .matrices import ExactMatrix, _eliminate, _eliminate_gf2
@@ -29,21 +28,26 @@ class ExperimentMode(Enum):
     HAMILTONICITY_SWEEP = "hamiltonicity-sweep"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    n: int
-    q: int
-    trials: int
-    seed: int
-    mode: ExperimentMode
+class ExperimentConfig(Value):
+    __slots__ = ("n", "q", "trials", "seed", "mode")
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise SizeMismatch(f"trials must be >= 1, got {self.trials}")
-        if not is_prime(self.q):
-            raise ParseError(f"field order must be prime, got {self.q}")
-        if self.n < 2:
-            raise SizeMismatch(f"experiments need n >= 2, got {self.n}")
+    def __init__(
+        self, n: int, q: int, trials: int, seed: int, mode: ExperimentMode
+    ) -> None:
+        if trials < 1:
+            raise SizeMismatch(f"trials must be >= 1, got {trials}")
+        if not is_prime(q):
+            raise ParseError(f"field order must be prime, got {q}")
+        if n < 2:
+            raise SizeMismatch(f"experiments need n >= 2, got {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "mode", mode)
+
+    def _key(self) -> tuple:
+        return self.n, self.q, self.trials, self.seed, self.mode
 
     def to_json_dict(self) -> dict:
         return {
@@ -55,12 +59,23 @@ class ExperimentConfig:
         }
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    config: ExperimentConfig
-    successes: int
-    total: int
-    failures: tuple[ExactMatrix, ...] = field(default=())
+class ExperimentReport(Value):
+    __slots__ = ("config", "successes", "total", "failures")
+
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        successes: int,
+        total: int,
+        failures: tuple[ExactMatrix, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "successes", successes)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "failures", failures)
+
+    def _key(self) -> tuple:
+        return self.config, self.successes, self.total, self.failures
 
     @property
     def estimate(self) -> Fraction:

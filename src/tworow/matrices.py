@@ -17,7 +17,6 @@ them on the rows it draws.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -27,6 +26,7 @@ from .errors import (
     NotSquare,
     ParseError,
     SizeMismatch,
+    Value,
 )
 from .fields import FieldKind, FieldSpec, Scalar, parse_field
 
@@ -206,16 +206,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@dataclass(frozen=True)
-class RowPermutation:
+class RowPermutation(Value):
     """A bijection sigma of {1..n}; image[i-1] = sigma(i)."""
 
-    image: tuple[int, ...]
+    __slots__ = ("image",)
 
-    def __post_init__(self) -> None:
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise SizeMismatch(f"not a permutation of 1..{n}: {self.image}")
+    def __init__(self, image: tuple[int, ...]) -> None:
+        n = len(image)
+        if sorted(image) != list(range(1, n + 1)):
+            raise SizeMismatch(f"not a permutation of 1..{n}: {image}")
+        object.__setattr__(self, "image", image)
+
+    def _key(self) -> tuple:
+        return (self.image,)
 
     @property
     def n(self) -> int:

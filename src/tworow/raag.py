@@ -13,79 +13,36 @@ questions only depend on nonvanishing, so any consistent orientation works.
 Edges are numbered in lexicographic order.
 
 Input graphs and support graphs are both rowgraph.SimplicialGraph, which
-this module re-exports; it defines no graph type of its own.  Witnesses on
-either graph come from hamilton.graph_hamiltonicity, also re-exported here.
+this module re-exports with its parser graph_from_text; it defines no graph
+type of its own.  Witnesses on either graph come from
+hamilton.graph_hamiltonicity, also re-exported here.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DimensionMismatch, FieldMismatch, ParseError, SingularBasis
+from .errors import DimensionMismatch, FieldMismatch, SingularBasis, Value
 from .fields import FieldKind, FieldSpec, Scalar
 from .hamilton import graph_hamiltonicity
 from .matrices import ExactMatrix, RowPermutation, determinant
-from .rowgraph import SimplicialGraph, non_null_graph, null_masks
+from .rowgraph import SimplicialGraph, graph_from_text, non_null_graph, null_masks
 
 
-def graph_from_text(text: str) -> SimplicialGraph:
-    """Parse JSON {"n":..,"edges":[[i,j],..]} or flat edge-list lines "i j"
-    (1-indexed; an optional single-integer first line pins the vertex count,
-    and every edge must lie within it; otherwise the largest label wins)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        return SimplicialGraph.from_json_dict(obj)
-    count = None
-    n = 0
-    pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) == 1 and lineno == 1:
-            try:
-                count = int(parts[0])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad vertex count {parts[0]!r}") from exc
-            if count < 1:
-                raise ParseError(f"line {lineno}: vertex count {count} is below 1")
-            n = count
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'i j', got {body!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer vertex in {body!r}") from exc
-        if i == j:
-            raise ParseError(f"line {lineno}: loop at vertex {i}")
-        if min(i, j) < 1:
-            raise ParseError(f"line {lineno}: bad edge ({i},{j}): vertices start at 1")
-        if count is not None and max(i, j) > count:
-            raise ParseError(f"line {lineno}: bad edge ({i},{j}) for {count} vertices")
-        pairs.append((i, j))
-        n = max(n, i, j)
-    if n < 1:
-        raise ParseError("empty graph input")
-    return SimplicialGraph.of(n, pairs)
-
-
-@dataclass(frozen=True)
-class PairingTriple:
+class PairingTriple(Value):
     """V of dimension n, W of dimension |E|, and the edge-supported pairing."""
 
-    spec: FieldSpec
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("spec", "n", "edges", "__dict__")
+
+    def __init__(
+        self, spec: FieldSpec, n: int, edges: tuple[tuple[int, int], ...]
+    ) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+
+    def _key(self) -> tuple:
+        return self.spec, self.n, self.edges
 
     @property
     def dim_v(self) -> int:
@@ -110,15 +67,18 @@ class PairingTriple:
         return k, coeff
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
+class BasisMatrix(Value):
     """Rows are coordinates of basis vectors w_i in the v_j* basis."""
 
-    a: ExactMatrix
+    __slots__ = ("a",)
 
-    def __post_init__(self):
-        if not self.a.is_square:
-            raise SingularBasis(f"basis matrix must be square, got {self.a.m}x{self.a.n}")
+    def __init__(self, a: ExactMatrix) -> None:
+        if not a.is_square:
+            raise SingularBasis(f"basis matrix must be square, got {a.m}x{a.n}")
+        object.__setattr__(self, "a", a)
+
+    def _key(self) -> tuple:
+        return (self.a,)
 
     @property
     def n(self) -> int:

@@ -15,20 +15,23 @@ The result is deliberately non-square and never claimed invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import AssertionFailure
+from .errors import AssertionFailure, Value
 from .fields import GF2
 from .matrices import ExactMatrix
 from .rowgraph import SimplicialGraph, two_row_graph
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(Value):
     """Matrix over GF(2) whose two-row graph is the input graph under the
     identity correspondence row i <-> vertex i."""
 
-    a: ExactMatrix
+    __slots__ = ("a",)
+
+    def __init__(self, a: ExactMatrix) -> None:
+        object.__setattr__(self, "a", a)
+
+    def _key(self) -> tuple:
+        return (self.a,)
 
     @property
     def n(self) -> int:

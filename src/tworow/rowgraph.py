@@ -3,7 +3,8 @@
 A SimplicialGraph stores one adjacency bitmask per vertex: the kernel below
 produces such masks and the Hamiltonian search reads them, so the edge set
 is built only when asked for.  Two-row graphs, opposite graphs, pairing
-support graphs and input graphs are all SimplicialGraphs.
+support graphs and input graphs are all SimplicialGraphs; graph_from_text
+parses the input graphs.
 
 Vertices of a two-row graph are row indices 1..m.  Rows i and j are
 null-connected when every 2x2 minor they span on consecutive columns is
@@ -18,11 +19,18 @@ edges as the windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
 from functools import cached_property
 from math import gcd
 
-from .errors import DegenerateMatrix, IndexOutOfRange, NotSquare, ParseError, SizeBound
+from .errors import (
+    DegenerateMatrix,
+    IndexOutOfRange,
+    NotSquare,
+    ParseError,
+    SizeBound,
+    Value,
+)
 from .fields import FieldKind
 from .matrices import ExactMatrix
 
@@ -31,20 +39,17 @@ from .matrices import ExactMatrix
 MAX_VERTICES = 4096
 
 
-@dataclass(frozen=True)
-class SimplicialGraph:
+class SimplicialGraph(Value):
     """A finite simple graph on vertices 1..n: no loops, no multi-edges.
 
     Bit j-1 of adj[i-1] is set iff {i, j} is an edge.  The constructor
     checks the masks; SimplicialGraph.of builds a graph from edge pairs.
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj", "__dict__")
 
-    def __post_init__(self) -> None:
-        n, adj = self.n, tuple(self.adj)
-        object.__setattr__(self, "adj", adj)  # a list would not hash
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        adj = tuple(adj)  # a list would not hash
         if n < 1:
             raise ParseError(f"graph needs at least one vertex, got {n}")
         if len(adj) != n:
@@ -63,6 +68,11 @@ class SimplicialGraph:
                 raise ParseError(f"vertex {i + 1}: loop or vertex outside 1..{n}")
             if into[i] != mask:
                 raise ParseError(f"vertex {i + 1}: adjacency masks are not symmetric")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+
+    def _key(self) -> tuple:
+        return self.n, self.adj
 
     @classmethod
     def _from_masks(cls, adj: tuple[int, ...]) -> "SimplicialGraph":
@@ -134,6 +144,55 @@ class SimplicialGraph:
                 raise ParseError(f"edge #{pos}: expected a pair of integers, got {e!r}")
             pairs.append((e[0], e[1]))
         return SimplicialGraph.of(n, pairs)
+
+
+def graph_from_text(text: str) -> SimplicialGraph:
+    """Parse JSON {"n":..,"edges":[[i,j],..]} or flat edge-list lines "i j"
+    (1-indexed; an optional single-integer first line pins the vertex count,
+    and every edge must lie within it; otherwise the largest label wins)."""
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+        return SimplicialGraph.from_json_dict(obj)
+    count = None
+    n = 0
+    pairs = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) == 1 and lineno == 1:
+            try:
+                count = int(parts[0])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad vertex count {parts[0]!r}") from exc
+            if count < 1:
+                raise ParseError(f"line {lineno}: vertex count {count} is below 1")
+            n = count
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 'i j', got {body!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: non-integer vertex in {body!r}") from exc
+        if i == j:
+            raise ParseError(f"line {lineno}: loop at vertex {i}")
+        if min(i, j) < 1:
+            raise ParseError(f"line {lineno}: bad edge ({i},{j}): vertices start at 1")
+        if count is not None and max(i, j) > count:
+            raise ParseError(f"line {lineno}: bad edge ({i},{j}) for {count} vertices")
+        pairs.append((i, j))
+        n = max(n, i, j)
+    if n < 1:
+        raise ParseError("empty graph input")
+    return SimplicialGraph.of(n, pairs)
 
 
 def _vanishes_fn(a: ExactMatrix):

@@ -54,6 +54,8 @@ def _probe(code: str, *argv: str):
 
 # the tworow modules loaded so far, as an expression in probe code
 LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'tworow')"
+# standard modules no CLI call should load: costly imports
+HEAVY = "sorted({'dataclasses', 'inspect'} & set(sys.modules))"
 
 
 def test_realize_stays_the_function_after_its_submodule_loads():
@@ -91,7 +93,7 @@ CLI_LOADS = {
     "trace": (["trace", "--matrix", "golden_7x7.json"], 0,
               ["fields", "hamilton", "matrices", "rowgraph"]),
     "realize": (["realize", "--graph", "star13.json"], 0,
-                ["fields", "hamilton", "matrices", "raag", "realize", "rowgraph"]),
+                ["fields", "matrices", "realize", "rowgraph"]),
     "raag": (["raag", "--graph", "star13.json"], 3,
              ["fields", "hamilton", "matrices", "raag", "rowgraph"]),
     "experiment": (["experiment", "--mode", "completeness", "--n", "3", "--q", "2",
@@ -110,12 +112,30 @@ def test_cli_subcommand_loads_only_its_modules(case):
         "from tworow.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        f"print(json.dumps([code, {LOADED}]))\n"
+        f"print(json.dumps([code, {LOADED}, {HEAVY}]))\n"
     )
-    got_code, loaded = _probe(code, *argv)
+    got_code, loaded, heavy = _probe(code, *argv)
     assert got_code == want_code
     want = ["tworow", "tworow.cli", "tworow.errors"] + [f"tworow.{m}" for m in modules]
     assert loaded == sorted(want)
+    assert heavy == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses imports inspect, and each decorated class execs generated
+    # code at import; every CLI call would pay for both
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_cli_imports_only_public_names():

@@ -2,6 +2,9 @@
 hashing, repr, immutability, keyword construction, defaults and the
 validation errors of their constructors."""
 
+import copy
+import pickle
+
 import pytest
 
 from tworow import (
@@ -178,6 +181,13 @@ def test_assignment_and_deletion_raise(cls):
     with pytest.raises(AttributeError):
         x.not_a_field = 1
     assert tuple(getattr(x, name) for name in names) == values
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_copy_and_pickle_round_trip(cls):
+    x = _build(cls)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is cls and y == x and repr(y) == repr(x)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -94,21 +97,79 @@ def test_abutting_blocks_have_disjoint_rows():
                 assert not set(b1.rows) & set(b2.rows)
 
 
+def planted_blocks(rng, spec, m, n):
+    """A random m x n matrix (n >= 2), about a third of its cells zero, with
+    zero to three planted rank-one blocks.  Each one puts multiples of one
+    vector on a run of columns, wrapping or not, in two or three rows; the
+    first of them is zero on the columns flanking the run and the others
+    are zero off it, so the rows are null-connected until a later block
+    overwrites some of their cells."""
+    if spec is QQ:
+        values = [Fraction(v) for v in ("1", "-1", "2", "1/2", "-3/4")]
+    else:
+        values = list(range(1, spec.p))
+    rows = [[0 if rng.random() < 1 / 3 else rng.choice(values) for _ in range(n)]
+            for _ in range(m)]
+    for _ in range(rng.randint(0, 3) if m >= 2 else 0):
+        start, length = rng.randrange(n), rng.randint(2, n)
+        run = [(start + t) % n for t in range(length)]
+        base = [rng.choice(values) for _ in run]
+        lead, *rest = rng.sample(range(m), rng.randint(2, min(m, 3)))
+        rows[lead][(start - 1) % n] = rows[lead][(start + length) % n] = 0
+        for r in rest:
+            rows[r] = [0] * n
+        for r in (lead, *rest):
+            factor = rng.choice(values)
+            for c, v in zip(run, base):
+                rows[r][c] = spec.canonical(factor * v)
+    return ExactMatrix(spec, rows)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 @pytest.mark.parametrize("cyclic", [False, True])
 def test_blocks_match_brute_force(spec, cyclic):
     rng = random.Random(97 if cyclic else 96)
+    matrices = []
     for _ in range(30):
         m, n = rng.randint(2, 5), rng.randint(2, 5)
-        a = random_matrix(rng, spec, m, n)
+        matrices.append(random_matrix(rng, spec, m, n))
+    # uniform entries rarely make a block outside GF(2)
+    for _ in range(30):
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        matrices.append(planted_blocks(rng, spec, m, n))
+    if spec is GF2:
+        # every binary 3x3 and 3x4 matrix
+        for n in (3, 4):
+            for bits in range(2 ** (3 * n)):
+                rows = [[bits >> (n * r + c) & 1 for c in range(n)] for r in range(3)]
+                matrices.append(ExactMatrix(GF2, rows))
+    for a in matrices:
         got = as_triples(find_one_blocks(a, cyclic))
         assert got == brute_one_blocks(a, cyclic), a.to_json_dict()
+
+
+def test_block_partition_pinned():
+    # block_partition and its owner grid, plain and cyclic, on 300 seeded
+    # planted matrices up to 12 x 12 over every field, by one digest
+    rng = random.Random(1301)
+    digest = hashlib.sha256()
+    for k in range(300):
+        spec = ALL_SPECS[k % len(ALL_SPECS)]
+        a = planted_blocks(rng, spec, rng.randint(1, 12), rng.randint(2, 12))
+        for cyclic in (False, True):
+            part = block_partition(a, cyclic)
+            doc = [part.to_json_dict(), part.owner]
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "439ff5ea51177d227a1cdfc0af299d9f2cc5d56818157000dde77c24ccc9b566"
+    )
 
 
 @pytest.mark.parametrize("cyclic", [False, True])
 def test_block_invariants_random(cyclic):
     rng = random.Random(11)
-    # the pair {1,2} finds its block first, but the {1,3} block sorts first
+    # row 1 is in two blocks, {1,2} on columns 4-5 and {1,3} on columns
+    # 1-2 when plain, so the start column breaks the tie on the smallest row
     matrices = [ExactMatrix(QQ, [[1, 1, 0, 1, 1], [0, 0, 0, 1, 1], [1, 1, 0, 0, 0]])]
     for _ in range(60):
         spec = rng.choice(ALL_SPECS)

@@ -5,9 +5,12 @@ consecutive columns (cyclically consecutive when flagged) such that every
 entry is nonzero, the submatrix has at least two rows and two columns, and
 the null-connectedness graph restricted to I is connected.  Such blocks have
 one-dimensional row space, are pairwise disjoint as entry sets, and induce a
-unique partition of the matrix into blocks and 1x1 singletons.  That
-partition is computed once, as an owner grid naming the block of each cell,
-and the partition, the tracks and the CLI outline all read it.
+unique partition of the matrix into blocks and 1x1 singletons.  Null-connected
+rows that are nonzero in a common column share their maximal nonzero run
+there, so the blocks are the null-connected components, of two or more rows,
+of the rows sharing a nonzero run of two or more columns.  That partition is
+computed once, as an owner grid naming the block of each cell, and the
+partition, the tracks and the CLI outline all read it.
 
 A complete 1-track is an abutting chain of members (nonzero 1x1 cells or
 minors inside a single block) covering all n columns, with no two consecutive
@@ -182,7 +185,7 @@ def string_of(a: ExactMatrix, sigma: RowPermutation) -> TrackString:
 def _nonzero_runs(bits: int, n: int, cyclic: bool) -> list[tuple[int, int]]:
     """Maximal runs of set bits in the n-bit mask as (start0, length),
     length >= 2 only."""
-    if cyclic and bits == (1 << n) - 1:
+    if cyclic and n > 1 and bits == (1 << n) - 1:
         return [(0, n)]
     starts = bits & ~(bits << 1)
     ends = bits & ~(bits >> 1)
@@ -201,52 +204,6 @@ def _nonzero_runs(bits: int, n: int, cyclic: bool) -> list[tuple[int, int]]:
     return [r for r in runs if r[1] >= 2]
 
 
-def _grow_block(
-    rows: int,
-    start0: int,
-    length: int,
-    bits: list[int],
-    masks: list[int],
-    n: int,
-    cyclic: bool,
-) -> tuple[tuple[int, ...], int, int]:
-    """Close a valid seed (rows as a 0-based bitmask) under one-step
-    extensions; the fixpoint is the unique maximal block containing it."""
-    m = len(bits)
-    full = (1 << n) - 1
-    changed = True
-    while changed:
-        changed = False
-        common = full
-        for r in range(m):
-            if rows >> r & 1:
-                common &= bits[r]
-        # widen columns while every current row stays nonzero
-        while length < n:
-            left = (start0 - 1) % n
-            if (cyclic or start0 > 0) and common >> left & 1:
-                start0, length = left, length + 1
-                changed = True
-                continue
-            right = (start0 + length) % n
-            if (cyclic or start0 + length < n) and common >> right & 1:
-                length += 1
-                changed = True
-                continue
-            break
-        span = ((1 << length) - 1) << start0
-        span = (span | span >> n) & full
-        for cand in range(m):
-            if rows >> cand & 1 or not masks[cand] & rows:
-                continue
-            if bits[cand] & span == span:
-                rows |= 1 << cand
-                changed = True
-    if cyclic and length == n:
-        start0 = 0
-    return tuple(r + 1 for r in range(m) if rows >> r & 1), start0, length
-
-
 def _one_blocks(
     a: ExactMatrix, cyclic: bool
 ) -> tuple[tuple[OneBlock, ...], tuple[tuple[int, ...], ...]]:
@@ -254,55 +211,60 @@ def _one_blocks(
     the m x n owner grid: owner[i][c] is the index in that tuple of the
     block holding cell (i+1, c+1), or -1 when the cell is a singleton.
 
-    Seeds are (null-connected row pair, maximal all-nonzero column run);
-    each seed is grown to its fixpoint under one-step extensions.  Distinct
-    blocks are disjoint, so a seed grows into the one block holding its
-    first cell: a seed whose first cell is owned already is skipped, and
-    every other seed yields a new block.
+    Let rows i and j be null-connected and both nonzero in column c.  The
+    minor on window (c, c+1) vanishes, i_c j_{c+1} = i_{c+1} j_c, so
+    i_{c+1} = 0 exactly when j_{c+1} = 0; the same holds leftwards, and
+    through the wrap window when cyclic.  So their maximal nonzero runs
+    through c coincide, and by connectedness every row of a block has the
+    same maximal run.  Maximality then makes the block's columns that whole
+    run and its rows a whole null-connected component of the rows sharing
+    it; conversely each such component of two or more rows, on a run of
+    two or more columns, is a block.  A row null-connected to no other row
+    is in no block.
     """
-    if a.n < 2:
-        raise DegenerateMatrix("1-blocks need at least two columns")
     m, n = a.m, a.n
     masks = row_null_masks(a, cyclic)
-    bits = [sum(1 << k for k, v in enumerate(row) if v) for row in a.raw()]
-    wrap = 1 | 1 << (n - 1)
+    raw = a.raw()
+    sharing: dict[tuple[int, int], int] = {}  # run -> bitmask of its rows
+    for i, mask in enumerate(masks):
+        if mask:
+            bits = sum(1 << k for k, v in enumerate(raw[i]) if v)
+            for run in _nonzero_runs(bits, n, cyclic):
+                sharing[run] = sharing.get(run, 0) | 1 << i
+    found = []
+    for (start0, length), rows in sharing.items():
+        while rows:
+            component = todo = rows & -rows
+            while todo:
+                low = todo & -todo
+                reached = masks[low.bit_length() - 1] & rows & ~component
+                component |= reached
+                todo = (todo ^ low) | reached
+            rows &= ~component
+            if component & (component - 1):
+                members = tuple(r + 1 for r in range(m) if component >> r & 1)
+                found.append(OneBlock(members, start0 + 1, length, cyclic))
+    found.sort(key=lambda b: (b.rows[0], b.col_start))
     owner = [[-1] * n for _ in range(m)]
-    found: list[OneBlock] = []
-
-    def own(block: OneBlock, idx: int) -> None:
+    for idx, block in enumerate(found):
+        cols = block.columns(n)
         for r in block.rows:
             row = owner[r - 1]
-            for c in block.columns(n):
+            for c in cols:
                 row[c - 1] = idx
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not masks[i] >> j & 1:
-                continue
-            both = bits[i] & bits[j]
-            if not both & both >> 1 and not (cyclic and both & wrap == wrap):
-                continue  # no two adjacent columns nonzero in both rows
-            for start0, length in _nonzero_runs(both, n, cyclic):
-                if owner[i][start0] >= 0:
-                    continue  # seed already inside a found block
-                rows, s0, ln = _grow_block(
-                    1 << i | 1 << j, start0, length, bits, masks, n, cyclic
-                )
-                block = OneBlock(rows, s0 + 1, ln, cyclic)
-                own(block, len(found))
-                found.append(block)
-    found.sort(key=lambda b: (b.rows[0], b.col_start))
-    for idx, block in enumerate(found):
-        own(block, idx)
     return tuple(found), tuple(map(tuple, owner))
 
 
 def find_one_blocks(a: ExactMatrix, cyclic: bool = False) -> list[OneBlock]:
     """All maximal 1-blocks, sorted by smallest row then start column."""
+    if a.n < 2:
+        raise DegenerateMatrix("1-blocks need at least two columns")
     return list(_one_blocks(a, cyclic)[0])
 
 
 def block_partition(a: ExactMatrix, cyclic: bool = False) -> BlockPartition:
+    if a.n < 2:
+        raise DegenerateMatrix("1-blocks need at least two columns")
     blocks, owner = _one_blocks(a, cyclic)
     raw = a.raw()
     nonzero_single = []
@@ -346,7 +308,7 @@ def track_of_string(
     """The canonical complete track of the string picked by sigma: extend a
     run while consecutive string cells share one block, else cut."""
     string_of(a, sigma)  # validates shape and nonzero entries
-    owner = _one_blocks(a, cyclic)[1] if a.n >= 2 else ((-1,),)
+    owner = _one_blocks(a, cyclic)[1]
     return _track_on(owner, sigma.image, cyclic)
 
 
@@ -473,7 +435,7 @@ def complete_tracks(
     through _canonical_track and the seen set."""
     _check_enumerable(a, max_size)
     n = a.n
-    owner = _one_blocks(a, cyclic)[1] if n >= 2 else ((-1,),)
+    owner = _one_blocks(a, cyclic)[1]
     # single[r][c]: the 1x1 member on the nonzero cell (r+1, c+1)
     single = [
         [TrackMember((r + 1,), c + 1, 1) if v else None for c, v in enumerate(row)]
@@ -513,7 +475,7 @@ def det_by_tracks(
     n = a.n
     rows, scale = a._int_rows()
     p = a.spec.characteristic
-    blocks, owner = _one_blocks(a, cyclic) if n >= 2 else ((), ((-1,),))
+    blocks, owner = _one_blocks(a, cyclic)
     spans = [sum(1 << (c - 1) for c in block.columns(n)) for block in blocks]
     # cols[c]: (row, entry, block, ahead) for each nonzero cell of column c
     cols = []

@@ -588,8 +588,16 @@ def test_complete_tracks_bound():
 
 
 def test_det_by_tracks_1x1():
-    a = ExactMatrix(QQ, [["7"]])
-    assert det_by_tracks(a) == QQ.scalar(7)
+    assert det_by_tracks(ExactMatrix(QQ, [["7"]])) == QQ.scalar(7)
+    # one column has no 1-blocks: [[1]] is one single-cell track
+    for spec, cyclic in itertools.product([GF2, GF3, QQ], [False, True]):
+        one, zero = ExactMatrix(spec, [[1]]), ExactMatrix(spec, [[0]])
+        track = OneTrack((TrackMember((1,), 1, 1),), cyclic)
+        assert complete_tracks(one, cyclic) == [track]
+        assert track_of_string(one, RowPermutation.identity(1), cyclic) == track
+        assert det_by_tracks(one, cyclic) == spec.one
+        assert complete_tracks(zero, cyclic) == []
+        assert det_by_tracks(zero, cyclic) == spec.zero
 
 
 def test_singular_3x3_by_tracks(singular_3x3):

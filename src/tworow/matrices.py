@@ -189,14 +189,14 @@ def matrix_from_csv_text(text: str, spec: FieldSpec) -> ExactMatrix:
         parsed = []
         for colno, cell in enumerate(line.split(","), start=1):
             try:
-                parsed.append(spec.parse_scalar(cell))
+                parsed.append(spec.parse_raw(cell))
             except ParseError as exc:
                 raise ParseError(f"line {lineno}, column {colno}: {exc}") from exc
-        rows.append(parsed)
+        rows.append(tuple(parsed))
     if not rows:
         raise ParseError("empty CSV matrix")
     try:
-        return ExactMatrix(spec, rows)
+        return ExactMatrix._from_raw(spec, tuple(rows))
     except SizeMismatch as exc:
         raise ParseError(str(exc)) from exc
 

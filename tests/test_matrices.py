@@ -261,8 +261,13 @@ def test_csv_parsing():
         matrix_from_csv_text("1,0,1\n0,1,zebra\n", GF2)
     with pytest.raises(ParseError):
         matrix_from_csv_text("\n\n", GF2)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="ragged rows"):
         matrix_from_csv_text("1,0\n1\n", GF2)
+    # cells land on the canonical raw form, as through the constructor
+    q = matrix_from_csv_text(" 1/2,-2/4\n3 , 0\n", QQ)
+    assert q == ExactMatrix(QQ, [["1/2", "-1/2"], [3, 0]])
+    assert all(type(v) is Fraction for row in q.raw() for v in row)
+    assert matrix_from_csv_text("-1,7\n", GF5).raw() == ((4, 2),)
 
 
 def test_raw_storage_boundary():

@@ -138,6 +138,37 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def test_private_names_are_used():
+    # a top-level private function, class or constant that no code in the
+    # package names is dead; definitions do not count as uses
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    assert defined, f"no private names under {SRC}"
+    assert sorted(f"{name} ({loc})" for name, loc in defined.items() if name not in used) == []
+
+
 def test_cli_imports_only_public_names():
     # every CLI document is then reproducible from the public API, as the
     # benchmark's in-process references assume

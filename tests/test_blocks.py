@@ -561,6 +561,29 @@ def test_string_partition_into_tracks(cyclic):
         assert sum(len(v) for v in by_track.values()) == len(strings)
 
 
+def test_complete_tracks_match_string_oracle():
+    # complete_tracks against every nonzero string grouped by its track, in
+    # first-seen order, plain and cyclic: every binary 3x3 matrix, every 7th
+    # binary 4x4 one, and random and planted-block matrices up to 7x7
+    rng = random.Random(1402)
+    matrices = [
+        ExactMatrix(GF2, [[bits >> (n * r + c) & 1 for c in range(n)] for r in range(n)])
+        for n, step in ((3, 1), (4, 7))
+        for bits in range(0, 2 ** (n * n), step)
+    ]
+    for spec in ALL_SPECS + [FieldSpec.gf(7)]:
+        for _ in range(6):
+            matrices.append(random_matrix(rng, spec, *[rng.randint(2, 7)] * 2))
+            matrices.append(planted_blocks(rng, spec, *[rng.randint(2, 7)] * 2))
+    for a in matrices:
+        strings = nonzero_strings(a)
+        for cyclic in (False, True):
+            first_seen = {}
+            for image in strings:
+                first_seen.setdefault(track_of_string(a, RowPermutation(image), cyclic))
+            assert complete_tracks(a, cyclic) == list(first_seen), a.to_json_dict()
+
+
 def test_complete_tracks_bound():
     with pytest.raises(SizeBound):
         complete_tracks(ExactMatrix.identity(GF2, 9))

@@ -24,8 +24,8 @@ det_by_tracks is a subset DP over the columns that sums the narrow and the
 wide strings apart, returns the first and checks that the second is zero.
 A track sum is a generalized Laplace product: the sign of one string of the
 track times its member minors; it is the one sum of a track.  Only the track
-list walks the strings one by one, in lexicographic order, carrying no
-products or signs; a narrow string is a track of its own, and only the wide
+list walks strings, with no products or signs, meeting each track once at
+its smallest string; a narrow string is a track of its own, and only wide
 ones are canonicalized.  The DP places row r with one sign flip per used row
 of larger index, and track_sum takes one string's sign from image_sign.
 """
@@ -176,7 +176,7 @@ def string_of(a: ExactMatrix, sigma: RowPermutation) -> TrackString:
         raise NotSquare("strings are defined for square matrices")
     if sigma.n != a.n:
         raise SizeMismatch(f"permutation size {sigma.n} != matrix size {a.n}")
-    entries = tuple(a.entry(sigma(i), i) for i in range(1, a.n + 1))
+    entries = tuple(Scalar(a.spec, a.raw()[r - 1][c]) for c, r in enumerate(sigma.image))
     if not all(entries):
         raise ZeroEntryInString(f"string of {sigma.image} hits a zero entry")
     return TrackString(sigma, entries)
@@ -326,47 +326,6 @@ def _check_enumerable(a: ExactMatrix, max_size: int) -> None:
         raise SizeBound(f"n={a.n} exceeds the track enumeration bound {max_size}")
 
 
-def _strings(a: ExactMatrix, owner):
-    """(rows, cells, wide) for each nonzero string of a, in lexicographic
-    order: rows[c] is the 0-based row in column c and cells[c] the index of
-    the block holding that cell, or -1 (both live lists); wide says two
-    consecutive cells lie in one block (the wrap pair is left to the
-    caller).  Depth first, smallest row first; stack[c] holds the nonzero
-    rows column c has yet to try, wides[c] describes the first c cells."""
-    n = a.n
-    nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in zip(*a.raw())]
-    rows: list[int] = []
-    cells: list[int] = []
-    wides = [False]
-    used = 0
-    stack = [nonzero[0]]
-    while stack:
-        free = stack[-1] & ~used
-        if not free:
-            stack.pop()
-            if rows:
-                used ^= 1 << rows.pop()
-                cells.pop()
-                wides.pop()
-            continue
-        bit = free & -free
-        stack[-1] = free ^ bit
-        r = bit.bit_length() - 1
-        c = len(rows)
-        b = owner[r][c]
-        wide = wides[-1] or b >= 0 and c > 0 and cells[-1] == b
-        rows.append(r)
-        cells.append(b)
-        if c + 1 < n:
-            wides.append(wide)
-            used |= bit
-            stack.append(nonzero[c + 1])
-            continue
-        yield rows, cells, wide
-        rows.pop()
-        cells.pop()
-
-
 def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     """Sum of sgn(sigma) * product(entries) over all strings belonging to the
     track.  Zero whenever some member is a true minor (>= 2 rows) inside a
@@ -427,31 +386,72 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
 def complete_tracks(
     a: ExactMatrix, cyclic: bool = False, max_size: int = DEFAULT_TRACK_BOUND
 ) -> list[OneTrack]:
-    """Distinct canonical tracks of all nonzero strings, in first-seen order
-    of the lexicographic string enumeration.
+    """Distinct canonical tracks of all nonzero strings, each met once, at
+    its lexicographically smallest string, in the order of those strings.
 
-    A narrow string (no two consecutive cells, closed when cyclic, in one
+    A track's strings permute each member's rows over its columns, so the
+    smallest has each member's rows ascending and, for a cyclic member
+    wrapping past column n, its head rows (columns 1..j) below its tail rows
+    (columns k..n).  The walk, depth first and smallest row first, never
+    places a row below the previous one in the same block, which cuts the
+    whole subtree, and keeps a leaf whose wrap pair shares a block only if
+    its last head row is below its first tail row or the run covers every
+    column.  stack[c] holds the nonzero rows column c has yet to try, rows[c]
+    and cells[c] the 0-based row and block (or -1) of the cell taken there,
+    and wides[c] says two consecutive of the first c cells share a block.  A
+    narrow string (no two consecutive cells, closed when cyclic, in one
     block) is a track of its own, all 1x1 members, so only wide strings go
-    through _canonical_track and the seen set."""
+    through _canonical_track."""
     _check_enumerable(a, max_size)
     n = a.n
     owner = _one_blocks(a, cyclic)[1]
+    raw = a.raw()
     # single[r][c]: the 1x1 member on the nonzero cell (r+1, c+1)
     single = [
         [TrackMember((r + 1,), c + 1, 1) if v else None for c, v in enumerate(row)]
-        for r, row in enumerate(a.raw())
+        for r, row in enumerate(raw)
     ]
-    seen: set[OneTrack] = set()
+    nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in zip(*raw)]
+    rows: list[int] = []
+    cells: list[int] = []
+    wides = [False]
+    used = 0
+    stack = [nonzero[0]]
     out = []
-    for rows, cells, wide in _strings(a, owner):
-        if wide or cyclic and cells[0] == cells[-1] >= 0:
-            track = _canonical_track(cells, [r + 1 for r in rows], cyclic, n)
-            if track in seen:
-                continue
-            seen.add(track)
+    while stack:
+        free = stack[-1] & ~used
+        if not free:
+            stack.pop()
+            if rows:
+                used ^= 1 << rows.pop()
+                cells.pop()
+                wides.pop()
+            continue
+        bit = free & -free
+        stack[-1] = free ^ bit
+        r = bit.bit_length() - 1
+        c = len(rows)
+        b = owner[r][c]
+        same = b >= 0 and c > 0 and cells[-1] == b
+        if same and r < rows[-1]:
+            continue
+        rows.append(r)
+        cells.append(b)
+        if c + 1 < n:
+            wides.append(wides[-1] or same)
+            used |= bit
+            stack.append(nonzero[c + 1])
+            continue
+        wrap = cyclic and cells[0] == b >= 0
+        if not (wrap or same or wides[-1]):
+            out.append(OneTrack(tuple([single[r][c] for c, r in enumerate(rows)]), cyclic))
         else:
-            track = OneTrack(tuple([single[r][c] for c, r in enumerate(rows)]), cyclic)
-        out.append(track)
+            # a wrap pair in block b: head run to column other[0], tail after
+            other = [t for t, e in enumerate(cells) if e != b] if wrap else []
+            if not other or rows[other[0] - 1] < rows[other[-1] + 1]:
+                out.append(_canonical_track(cells, [r + 1 for r in rows], cyclic, n))
+        rows.pop()
+        cells.pop()
     return out
 
 

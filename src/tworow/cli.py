@@ -254,7 +254,7 @@ def cmd_realize(args) -> int:
 
 def cmd_raag(args) -> int:
     from .hamilton import graph_hamiltonicity
-    from .raag import BasisMatrix, basis_hamiltonian_witness, basis_support_graph, cup_pairing
+    from .raag import BasisMatrix, basis_support_graph, cup_pairing
 
     graph = load_graph(args.graph)
     if args.basis is None:
@@ -267,13 +267,13 @@ def cmd_raag(args) -> int:
     basis = BasisMatrix(load_matrix(args.basis, args.field))
     triple = cup_pairing(graph, basis.a.spec)
     support = basis_support_graph(triple, basis)
-    sigma = basis_hamiltonian_witness(triple, basis, args.cyclic)
-    if sigma is None:
+    witness = graph_hamiltonicity(support, args.cyclic)
+    if witness is None:
         print("no basis Hamiltonian witness", file=sys.stderr)
         return EXIT_NEGATIVE
     _emit(
         {
-            "witness": list(sigma.image),
+            "witness": list(witness.order),
             "closed": args.cyclic,
             "support": support.to_json_dict(),
         }

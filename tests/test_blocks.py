@@ -250,6 +250,13 @@ def test_string_of_validation(golden_7x7):
         string_of(ExactMatrix(GF2, [[1, 0]]), RowPermutation.identity(1))
     with pytest.raises(SizeMismatch):
         string_of(golden_7x7, RowPermutation.identity(6))
+    # only the string's n cells are boxed, never the whole matrix
+    fresh = ExactMatrix(golden_7x7.spec, golden_7x7.raw())
+    assert string_of(fresh, sigma) == s
+    assert track_of_string(fresh, sigma) == track_of_string(golden_7x7, sigma)
+    with pytest.raises(ZeroEntryInString):
+        track_of_string(fresh, RowPermutation.identity(7))
+    assert fresh._scalars is None
 
 
 def test_track_of_identity_matrix():
@@ -605,6 +612,15 @@ def test_complete_tracks_bound():
         else:
             with pytest.raises(SizeBound):
                 track_sum(ones, track)
+    # all-ones 8x8 and 2x2 blocks on the diagonal: the walk meets the one
+    # track at its smallest string instead of walking its 8! * 2! strings
+    diag = ExactMatrix(GF3, [[int((i < 8) == (j < 8)) for j in range(10)] for i in range(10)])
+    for cyclic in (False, True):
+        start = time.perf_counter()
+        tracks = complete_tracks(diag, cyclic, max_size=10)
+        assert time.perf_counter() - start < 0.1
+        members = (TrackMember(tuple(range(1, 9)), 1, 8), TrackMember((9, 10), 9, 2))
+        assert tracks == [OneTrack(members, cyclic)]
     n = 1200
     identity_track = OneTrack(tuple(TrackMember((c,), c, 1) for c in range(1, n + 1)), False)
     assert track_sum(ExactMatrix.identity(GF2, n), identity_track) == GF2.one

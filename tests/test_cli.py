@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from tworow import ExperimentMode, canonical_json
+import tworow.raag as raag
 from tworow.blocks import DEFAULT_TRACK_BOUND
 from tworow.cli import main
 
@@ -324,20 +325,39 @@ def test_raag_direct(capsys):
     assert code == 3 and "no Hamiltonian witness" in err
 
 
-def test_raag_with_basis(capsys, tmp_path):
+def test_raag_with_basis(capsys, tmp_path, monkeypatch):
+    # the basis is checked (one determinant) and its support graph built
+    # (one null_masks) once per call, and the witness searched on that graph
+    calls = []
+
+    def counted(name):
+        real = getattr(raag, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(raag, name, wrapper)
+
+    counted("determinant")
+    counted("null_masks")
     p4 = tmp_path / "p4.txt"
     p4.write_text("1 2\n2 3\n3 4\n")
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "raag", "--graph", str(p4), "--basis", ID4
     )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["witness"] == [1, 2, 3, 4] and doc["closed"] is False
-    assert doc["support"]["edges"] == [[1, 2], [2, 3], [3, 4]]
-    code, _, err = run_cli(
+    assert code == 0 and err == ""
+    assert out == (
+        '{"closed":false,"support":{"edges":[[1,2],[2,3],[3,4]],"n":4},'
+        '"witness":[1,2,3,4]}\n'
+    )
+    assert sorted(calls) == ["determinant", "null_masks"]
+    calls.clear()
+    code, out, err = run_cli(
         capsys, "raag", "--graph", str(p4), "--basis", ID4, "--cyclic"
     )
-    assert code == 3 and "no basis" in err
+    assert (code, out, err) == (3, "", "no basis Hamiltonian witness\n")
+    assert sorted(calls) == ["determinant", "null_masks"]
 
 
 def test_experiment_deterministic(capsys):

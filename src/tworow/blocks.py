@@ -446,7 +446,7 @@ def complete_tracks(
         if not (wrap or same or wides[-1]):
             out.append(OneTrack(tuple([single[r][c] for c, r in enumerate(rows)]), cyclic))
         else:
-            # a wrap pair in block b: head run to column other[0], tail after
+            # wrap pair in block b: head ends before other[0], tail starts after other[-1]
             other = [t for t, e in enumerate(cells) if e != b] if wrap else []
             if not other or rows[other[0] - 1] < rows[other[-1] + 1]:
                 out.append(_canonical_track(cells, [r + 1 for r in rows], cyclic, n))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DivisionByZero, FieldMismatch, ParseError, Value
 
@@ -96,11 +95,11 @@ class FieldSpec(Value):
 
     @property
     def zero(self) -> "Scalar":
-        return _cached_small(self, 0)
+        return Scalar(self, 0)
 
     @property
     def one(self) -> "Scalar":
-        return _cached_small(self, 1)
+        return Scalar(self, 1)
 
     def scalar(self, value) -> "Scalar":
         return Scalar(self, value)
@@ -218,7 +217,3 @@ class Scalar:
     def __repr__(self) -> str:
         return f"Scalar({self.spec.name}, {self.value})"
 
-
-@lru_cache(maxsize=None)
-def _cached_small(spec: FieldSpec, v: int) -> Scalar:
-    return Scalar(spec, v)

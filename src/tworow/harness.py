@@ -110,11 +110,12 @@ def sample_gl(n: int, q: int, rng: random.Random) -> ExactMatrix:
     """Uniform over GL_n(F_q) by rejection on uniform entry matrices."""
     spec = FieldSpec.gf(q)
     if q == 2:
+        cols = range(n)
         while True:
-            packed = [rng.getrandbits(n) for _ in range(n)]
+            packed = [rng.getrandbits(n) for _ in cols]
             if _eliminate_gf2(packed, n)[1]:
                 return ExactMatrix._from_raw(
-                    spec, tuple(tuple(row >> c & 1 for c in range(n)) for row in packed)
+                    spec, tuple([tuple([row >> c & 1 for c in cols]) for row in packed])
                 )
     while True:
         rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)]

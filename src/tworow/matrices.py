@@ -3,13 +3,20 @@
 Rows and columns are 1-indexed throughout the public API; entry(i, j) is the
 entry of row i in column j.  Matrices are immutable after construction.
 
+Every fact derived from a matrix that is asked for more than once lives in
+one dict per matrix, ExactMatrix._memo, filled on first use and gone with
+the matrix.  Its keys are fixed: "ints", the integer rows (_int_rows);
+"rank_det", the (rank, determinant) pair of _rank_det; and, filled by
+rowgraph, "plain" and "wrap", the row null masks on the consecutive column
+windows and on the wrap window (n, 1) alone, and "windows", the masks on
+the one window set most recently passed to rowgraph.null_masks, with that
+set.  Only this module and rowgraph read or write it.
+
 determinant and rank are one elimination core behind a field dispatch.
 _eliminate runs on int rows: modulo p on rows packed into ints, one lane
 per column, so that clearing a column below its pivot costs one big-int
-multiply-add per row; and fraction-free (Bareiss) over Q.  Over Q it reads
-the rows with their denominators cleared, which each matrix computes once
-and caches (ExactMatrix._int_rows; the null-connectedness kernel and the
-track sums read the same cache).  _eliminate_gf2 is the twin on rows packed
+multiply-add per row; and fraction-free (Bareiss) over Q, on the rows with
+their denominators cleared.  _eliminate_gf2 is the twin on rows packed
 into bits over GF(2).  Both return (rank, det); harness.sample_gl calls
 them on the rows it draws.
 """
@@ -36,10 +43,11 @@ class ExactMatrix:
 
     Entries are stored as canonical raw values (int residues over GF(p),
     Fractions over Q); Scalars are built only for entry, row and
-    scalar_rows, and the integer rows only for _int_rows, on first use.
+    scalar_rows, on first use, and derived facts only as _memo's keys ask
+    (module docstring).
     """
 
-    __slots__ = ("spec", "m", "n", "_raw", "_scalars", "_ints")
+    __slots__ = ("spec", "m", "n", "_raw", "_scalars", "_memo")
 
     def __init__(self, spec: FieldSpec, rows) -> None:
         raw = []
@@ -68,7 +76,7 @@ class ExactMatrix:
         self.n = width
         self._raw = raw
         self._scalars = None
-        self._ints = None
+        self._memo: dict = {}
 
     @classmethod
     def _from_raw(cls, spec: FieldSpec, raw: tuple) -> "ExactMatrix":
@@ -116,13 +124,15 @@ class ExactMatrix:
         """(rows, scale): the rows as int tuples and the product of the
         multipliers that cleared their denominators, so that a product
         taking one entry from each row is scale times the raw one.  Over
-        GF(p) these are the raw rows and 1.  Computed once."""
-        if self._ints is None:
+        GF(p) these are the raw rows and 1.  Computed once, in _memo."""
+        ints = self._memo.get("ints")
+        if ints is None:
             if self.spec.kind is FieldKind.RATIONAL:
-                self._ints = _integer_rows(self._raw)
+                ints = _integer_rows(self._raw)
             else:
-                self._ints = (self._raw, 1)
-        return self._ints
+                ints = (self._raw, 1)
+            self._memo["ints"] = ints
+        return ints
 
     def _check_row(self, i: int) -> None:
         if not 1 <= i <= self.m:
@@ -421,7 +431,11 @@ def _eliminate_gf2(words, n: int) -> tuple[int, int]:
 
 
 def _rank_det(a: ExactMatrix) -> tuple[int, object]:
-    """(rank, raw determinant) of a, by the elimination its field calls for."""
+    """(rank, raw determinant) of a, by the elimination its field calls for;
+    computed once, in a's _memo."""
+    found = a._memo.get("rank_det")
+    if found is not None:
+        return found
     spec = a.spec
     if spec.kind is FieldKind.GF2:
         words = []
@@ -430,17 +444,21 @@ def _rank_det(a: ExactMatrix) -> tuple[int, object]:
             for v in row:
                 word = word << 1 | v
             words.append(word)
-        return _eliminate_gf2(words, a.n)
-    p = spec.characteristic
-    rows, scale = a._int_rows()
-    r, det = _eliminate(rows, p)
-    return r, det if p else Fraction(det, scale)
+        found = _eliminate_gf2(words, a.n)
+    else:
+        p = spec.characteristic
+        rows, scale = a._int_rows()
+        r, det = _eliminate(rows, p)
+        found = r, det if p else Fraction(det, scale)
+    a._memo["rank_det"] = found
+    return found
 
 
 def determinant(a: ExactMatrix) -> Scalar:
     """Exact determinant: bit-packed elimination over GF(2), lane-packed
     modular elimination over GF(p), fraction-free (Bareiss) elimination
-    over Q on the cached integer rows."""
+    over Q on the cached integer rows.  One elimination per matrix serves
+    determinant and rank."""
     if not a.is_square:
         raise NotSquare(f"determinant of a {a.m}x{a.n} matrix")
     return a.spec.scalar(_rank_det(a)[1])

@@ -12,14 +12,23 @@ singular; the cyclic variant additionally requires the wraparound minor on
 columns (n, 1) to vanish.  The two-row graph joins exactly the pairs that
 are not null-connected.
 
-All row pairs at once come from one kernel, null_masks, which takes any set
-of column windows; the pairing support graphs of raag use it with a graph's
-edges as the windows.
+All row pairs at once come from one kernel, _scan_masks, which takes any
+set of column windows.  Its results are kept in the matrix's memo
+(ExactMatrix._memo, see matrices): row_null_masks keeps the masks on the
+consecutive windows under "plain" and those on the wrap window (n, 1) alone
+under "wrap", and null_masks, with a graph's edges as the windows for the
+pairing support graphs of raag, keeps the masks of the one window set it
+was last given, with that set, under "windows".  Rows are null-connected on
+every window of a set exactly when they are on each window, so the cyclic
+masks are the plain masks ANDed row by row with the wrap masks: the cyclic
+graph costs one window more than the plain one.  Cached masks are tuples;
+callers get a new list each time.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from functools import cached_property
 from math import gcd
 
@@ -253,7 +262,7 @@ def _projective_classes(a: ExactMatrix):
     return rows, key
 
 
-def null_masks(a: ExactMatrix, windows) -> list[int]:
+def _scan_masks(a: ExactMatrix, windows: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """Null-connectedness of the rows of a on a set of column windows.
 
     Bit j of mask i is set iff rows i != j (0-based) span a singular 2x2
@@ -261,7 +270,8 @@ def null_masks(a: ExactMatrix, windows) -> list[int]:
     a row with both entries zero is singular with every row, and any other
     row exactly with the rows of its projective class, so a window costs
     O(m).  Rows with an empty mask drop out, and the scan stops once every
-    mask is empty.
+    mask is empty.  Uncached: null_masks and row_null_masks keep what it
+    returns.
     """
     m = a.m
     masks = [((1 << m) - 1) ^ (1 << i) for i in range(m)]
@@ -285,12 +295,25 @@ def null_masks(a: ExactMatrix, windows) -> list[int]:
                 zero |= 1 << i
         for i, k in keyed:
             masks[i] &= classes[k] | zero
-    return masks
+    return tuple(masks)
 
 
-def non_null_graph(null: list[int]) -> SimplicialGraph:
-    """The graph joining rows i != j whose bit is clear in null_masks: the
-    complement of null-connectedness."""
+def null_masks(a: ExactMatrix, windows: Sequence[tuple[int, int]]) -> list[int]:
+    """_scan_masks of a on windows, a sequence of 0-based column pairs, as
+    a new list.  The masks of the window set last passed for a are kept in
+    its memo, so asking again for the same set scans nothing."""
+    key = tuple(windows)
+    memo = a._memo
+    found = memo.get("windows")
+    if found is None or found[0] != key:
+        found = memo["windows"] = key, _scan_masks(a, key)
+    return list(found[1])
+
+
+def non_null_graph(null: Sequence[int]) -> SimplicialGraph:
+    """The graph joining rows i != j whose bit is clear in null, masks as
+    null_masks and row_null_masks return them: the complement of
+    null-connectedness."""
     full = (1 << len(null)) - 1
     return SimplicialGraph._from_masks(
         tuple(full ^ 1 << i ^ mask for i, mask in enumerate(null))
@@ -298,12 +321,19 @@ def non_null_graph(null: list[int]) -> SimplicialGraph:
 
 
 def row_null_masks(a: ExactMatrix, cyclic: bool = False) -> list[int]:
-    """null_masks of a's rows on its consecutive column windows, plus the
-    wraparound window (n, 1) when cyclic."""
-    windows = [(k, k + 1) for k in range(a.n - 1)]
-    if cyclic and a.n > 1:
-        windows.append((a.n - 1, 0))
-    return null_masks(a, windows)
+    """The masks of null_masks on a's consecutive column windows, ANDed row
+    by row with those on the wrap window (n, 1) when cyclic, as a new list.
+    Both mask sets are scanned once per matrix and kept in its memo."""
+    memo = a._memo
+    plain = memo.get("plain")
+    if plain is None:
+        plain = memo["plain"] = _scan_masks(a, [(k, k + 1) for k in range(a.n - 1)])
+    if not cyclic or a.n < 2:
+        return list(plain)
+    wrap = memo.get("wrap")
+    if wrap is None:
+        wrap = memo["wrap"] = _scan_masks(a, [(a.n - 1, 0)])
+    return [x & y for x, y in zip(plain, wrap)]
 
 
 def two_row_graph(a: ExactMatrix, cyclic: bool = False) -> SimplicialGraph:

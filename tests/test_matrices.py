@@ -382,8 +382,14 @@ def test_lane_kernel_lane_bound_stress(spec):
 
 
 # digests of seeded sample_gl draws, n = 1..8 and seeds 0..5, as the
-# list-based modular elimination drew them
-SAMPLE_GL_DIGESTS = {3: "c28369714abfd67f", 5: "4f36a67be052db80", 7: "8268a66cbbfd0ce0"}
+# list-based modular elimination drew them, and over GF(2) as the
+# generator-based bit unpacking did
+SAMPLE_GL_DIGESTS = {
+    2: "bc14e600a2bd1120",
+    3: "c28369714abfd67f",
+    5: "4f36a67be052db80",
+    7: "8268a66cbbfd0ce0",
+}
 
 
 @pytest.mark.parametrize("q", sorted(SAMPLE_GL_DIGESTS))

@@ -25,6 +25,7 @@ from tworow import (
     hamiltonian_path,
     pair_vectors,
 )
+from tworow import matrices, rowgraph
 from tworow.rowgraph import MAX_VERTICES
 
 from .conftest import ALL_SPECS, random_invertible
@@ -237,6 +238,44 @@ def test_witness_pairs_are_nonzero():
                 for x, y in pairs_to_check:
                     coords = pair_vectors(t, b.a.row(x), b.a.row(y))
                     assert any(coords)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, QQ], ids=lambda s: s.name)
+def test_support_and_witnesses_of_one_basis_eliminate_and_scan_once(spec, monkeypatch):
+    # the support graph and both witnesses of one basis share one
+    # elimination (the basis check) and one scan of its support masks;
+    # the uncached helpers are counted, not the public names
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    a = random_invertible(random.Random(71), spec, 6)
+    b = BasisMatrix(ExactMatrix(spec, a.raw()))
+    counted(matrices, "_eliminate")
+    counted(matrices, "_eliminate_gf2")
+    counted(rowgraph, "_scan_masks")
+    t = cup_pairing(c_n(6), spec)
+    support = basis_support_graph(t, b)
+    path = basis_hamiltonian_witness(t, b)
+    cycle = basis_hamiltonian_witness(t, b, cyclic=True)
+    elimination = "_eliminate_gf2" if spec is GF2 else "_eliminate"
+    assert sorted(calls) == sorted([elimination, "_scan_masks"])
+    assert path.image == hamiltonian_path(support).order
+    assert cycle.image == hamiltonian_cycle(support).order
+    # a second graph on the same basis scans its own windows once more
+    tp = cup_pairing(p_n(6), spec)
+    fresh = BasisMatrix(ExactMatrix(spec, a.raw()))
+    want = basis_support_graph(tp, fresh), basis_hamiltonian_witness(tp, fresh)
+    calls.clear()
+    assert (basis_support_graph(tp, b), basis_hamiltonian_witness(tp, b)) == want
+    assert calls == ["_scan_masks"]
 
 
 def test_witness_equals_support_search():

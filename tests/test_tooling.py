@@ -183,20 +183,93 @@ def test_cli_imports_only_public_names():
     assert private == []
 
 
+def _named_outside(name: str, homes: set[str]) -> list[str]:
+    """file:line of every place outside the files in homes where the
+    package source names name: as a variable, attribute, import or string."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in homes:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "value", None)}
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            if name in names:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    return found
+
+
 def test_only_matrices_clears_denominators():
     # every other module reads a matrix's cached integer rows, so that each
     # matrix clears its denominators once
+    assert _named_outside("_integer_rows", {"matrices.py"}) == []
+
+
+def test_no_function_caches():
+    # functools' caches hold their arguments and results for the life of
+    # the process; derived state belongs to the object it derives from
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "matrices.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if isinstance(node, ast.alias):
-                name = node.name
-            if name == "_integer_rows":
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "functools":
+                names = [node.attr]
+            else:
+                continue
+            if {"lru_cache", "cache"} & set(names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# containers a module-level name may be bound to, and their mutating methods
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict"}
+MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem",
+            "clear", "add", "discard", "remove"}
+
+
+def test_no_module_level_caches():
+    # a module-level dict, list or set that code writes to is shared by
+    # every caller in the process: a cache that outlives what it describes;
+    # rebinding a module name from a function is the same thing
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        held = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            made = isinstance(value, CONTAINERS) or (
+                isinstance(value, ast.Call) and getattr(value.func, "id", "") in CONTAINER_CALLS
+            )
+            if made:
+                held |= {t.id for t in targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno} global {', '.join(node.names)}")
+            elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                name = getattr(node.value, "id", None)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = getattr(node.func.value, "id", None)
+                if node.func.attr not in MUTATORS:
+                    continue
+            else:
+                continue
+            if not isinstance(node, ast.Global) and name in held:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_only_matrices_and_rowgraph_name_the_memo():
+    # every other module asks for derived facts through their functions,
+    # so the memo keeps its fixed keys and dies with its matrix
+    assert _named_outside("_memo", {"matrices.py", "rowgraph.py"}) == []
 
 
 # seeded output each script must print for the arguments below

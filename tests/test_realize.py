@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import random
@@ -122,6 +123,33 @@ def test_result_json():
     assert d["matrix"]["field"] == "gf2"
     assert res.vertex_to_row(2) == 2
     assert res.n == 2
+
+
+# sha256 of realize(g).a.raw() over pinned_graphs(), as the row-by-row
+# construction built it
+REALIZE_DIGEST = "e9ec2845824ec951594cb2260bb8806672911430b1ce5a968de1935386b83800"
+
+
+def pinned_graphs():
+    """All 1,099 graphs on at most 5 vertices, then 200 seeded random
+    graphs on 7 to 16 vertices of random density."""
+    for n in range(1, 6):
+        yield from all_graphs(n)
+    rng = random.Random(2021)
+    for _ in range(200):
+        yield random_graph(rng, rng.randint(7, 16), rng.random())
+
+
+def test_realize_output_unchanged():
+    digest = hashlib.sha256()
+    count = 0
+    for g in pinned_graphs():
+        a = realize(g).a
+        assert a.m == g.n and a.n == expected_columns(g)
+        digest.update(repr(a.raw()).encode())
+        count += 1
+    assert count == 1299
+    assert digest.hexdigest() == REALIZE_DIGEST
 
 
 def test_column_count_postcondition_raises(monkeypatch):

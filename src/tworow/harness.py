@@ -113,14 +113,17 @@ def sample_gl(n: int, q: int, rng: random.Random) -> ExactMatrix:
         cols = range(n)
         while True:
             packed = [rng.getrandbits(n) for _ in cols]
-            if _eliminate_gf2(packed, n)[1]:
+            found = _eliminate_gf2(packed, n)
+            if found[1]:
                 return ExactMatrix._from_raw(
-                    spec, tuple([tuple([row >> c & 1 for c in cols]) for row in packed])
+                    spec, tuple([tuple([row >> c & 1 for c in cols]) for row in packed]),
+                    found,
                 )
     while True:
         rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)]
-        if _eliminate(rows, q)[1]:
-            return ExactMatrix._from_raw(spec, tuple(rows))
+        found = _eliminate(rows, q)
+        if found[1]:
+            return ExactMatrix._from_raw(spec, tuple(rows), found)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

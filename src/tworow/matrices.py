@@ -8,9 +8,10 @@ one dict per matrix, ExactMatrix._memo, filled on first use and gone with
 the matrix.  Its keys are fixed: "ints", the integer rows (_int_rows);
 "rank_det", the (rank, determinant) pair of _rank_det; and, filled by
 rowgraph, "plain" and "wrap", the row null masks on the consecutive column
-windows and on the wrap window (n, 1) alone, and "windows", the masks on
-the one window set most recently passed to rowgraph.null_masks, with that
-set.  Only this module and rowgraph read or write it.
+windows and on the wrap window (n, 1) alone, "windows", the masks on the
+one window set most recently passed to rowgraph.null_masks, with that set,
+and, over GF(2) only, "cols", one row bitmask per column.  Only this module
+and rowgraph read or write it.
 
 determinant and rank are one elimination core behind a field dispatch.
 _eliminate runs on int rows: modulo p on rows packed into ints, one lane
@@ -18,7 +19,8 @@ per column, so that clearing a column below its pivot costs one big-int
 multiply-add per row; and fraction-free (Bareiss) over Q, on the rows with
 their denominators cleared.  _eliminate_gf2 is the twin on rows packed
 into bits over GF(2).  Both return (rank, det); harness.sample_gl calls
-them on the rows it draws.
+them on the rows it draws and hands the pair of the draw it keeps to
+ExactMatrix._from_raw, so its matrix is eliminated once.
 """
 
 from __future__ import annotations
@@ -79,11 +81,15 @@ class ExactMatrix:
         self._memo: dict = {}
 
     @classmethod
-    def _from_raw(cls, spec: FieldSpec, raw: tuple) -> "ExactMatrix":
+    def _from_raw(cls, spec: FieldSpec, raw: tuple, rank_det=None) -> "ExactMatrix":
         """Trusted constructor: raw is a tuple of equal-length tuples of
-        canonical values over spec; only the shape is checked."""
+        canonical values over spec; only the shape is checked.  A caller
+        that has eliminated raw already passes its (rank, raw determinant)
+        as rank_det, which goes into _memo unchecked."""
         a = cls.__new__(cls)
         a._init(spec, raw)
+        if rank_det is not None:
+            a._memo["rank_det"] = rank_det
         return a
 
     @classmethod

@@ -44,14 +44,6 @@ class PairingTriple(Value):
     def _key(self) -> tuple:
         return self.spec, self.n, self.edges
 
-    @property
-    def dim_v(self) -> int:
-        return self.n
-
-    @property
-    def dim_w(self) -> int:
-        return len(self.edges)
-
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: k for k, e in enumerate(self.edges, start=1)}

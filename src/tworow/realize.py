@@ -8,7 +8,8 @@ i and a unit column on row j+1; a final zero column terminates the sweep,
 and one more zero column pads the whole matrix.  Unit columns are the only
 nonzero columns, so the only invertible consecutive windows are the adjacent
 unit-column pairs planted per edge, which makes rows i and j null-connected
-exactly when {i,j} is a non-edge.
+exactly when {i,j} is a non-edge.  Every column holds at most one 1, so
+realize lists the row of each unit column first and fills the rows once.
 
 The result is deliberately non-square and never claimed invertible.
 """
@@ -37,9 +38,6 @@ class RealizationResult(Value):
     def n(self) -> int:
         return self.a.m
 
-    def vertex_to_row(self, v: int) -> int:
-        return v
-
     def to_json_dict(self) -> dict:
         return {"matrix": self.a.to_json_dict(), "rows_are_vertices": True}
 
@@ -55,26 +53,21 @@ def expected_columns(graph: SimplicialGraph) -> int:
 
 def realize(graph: SimplicialGraph) -> RealizationResult:
     n = graph.n
-    if n == 1:
-        rows = [[1]]
-    elif graph.has_edge(1, 2):
-        rows = [[1, 0], [0, 1]]
-    else:
-        rows = [[1, 0], [0, 0]]
-
-    def append_unit(col_row: int | None) -> None:
-        for r, row in enumerate(rows, start=1):
-            row.append(1 if r == col_row else 0)
-
-    for new in range(3, n + 1):
-        rows.append([0] * len(rows[0]))
-        for i in range(1, new):
-            append_unit(None)
-            if graph.has_edge(i, new):
-                append_unit(i)
-                append_unit(new)
-        append_unit(None)
-    append_unit(None)
+    adj = graph.adj
+    # the row (0-based) of each unit column, -1 for a zero column
+    unit = [0] if n == 1 else [0, 1 if adj[0] & 2 else -1]
+    for new in range(2, n):
+        nbrs = adj[new]
+        for i in range(new):
+            unit.append(-1)
+            if nbrs >> i & 1:
+                unit += (i, new)
+        unit.append(-1)
+    unit.append(-1)
+    rows = [[0] * len(unit) for _ in range(n)]
+    for c, r in enumerate(unit):
+        if r >= 0:
+            rows[r][c] = 1
     a = ExactMatrix._from_raw(GF2, tuple(map(tuple, rows)))
     if a.n != expected_columns(graph):
         raise AssertionFailure(
@@ -88,6 +81,6 @@ def verify_realization(graph: SimplicialGraph, result: RealizationResult) -> boo
     """True iff the matrix is 0/1 and its two-row graph is the input graph
     under the identity row/vertex correspondence."""
     a = result.a
-    if any(v not in (0, 1) for row in a.raw() for v in row):
+    if not all(map(frozenset((0, 1)).issuperset, a.raw())):
         return False
     return two_row_graph(a) == graph

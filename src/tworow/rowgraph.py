@@ -13,16 +13,18 @@ columns (n, 1) to vanish.  The two-row graph joins exactly the pairs that
 are not null-connected.
 
 All row pairs at once come from one kernel, _scan_masks, which takes any
-set of column windows.  Its results are kept in the matrix's memo
-(ExactMatrix._memo, see matrices): row_null_masks keeps the masks on the
-consecutive windows under "plain" and those on the wrap window (n, 1) alone
-under "wrap", and null_masks, with a graph's edges as the windows for the
-pairing support graphs of raag, keeps the masks of the one window set it
-was last given, with that set, under "windows".  Rows are null-connected on
-every window of a set exactly when they are on each window, so the cyclic
-masks are the plain masks ANDed row by row with the wrap masks: the cyclic
-graph costs one window more than the plain one.  Cached masks are tuples;
-callers get a new list each time.
+set of column windows.  Over GF(2) it works on one row bitmask per column,
+kept in the matrix's memo (ExactMatrix._memo, see matrices) under "cols";
+over other fields, on projective classes.  Its results are kept in the memo
+too: row_null_masks keeps the masks on the consecutive windows under
+"plain" and those on the wrap window (n, 1) alone under "wrap", and
+null_masks, with a graph's edges as the windows for the pairing support
+graphs of raag, keeps the masks of the one window set it was last given,
+with that set, under "windows".  Rows are null-connected on every window
+of a set exactly when they are on each window, so the cyclic masks are the
+plain masks ANDed row by row with the wrap masks: the cyclic graph costs
+one window more than the plain one.  Cached masks are tuples; callers get
+a new list each time.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from .errors import (
 )
 from .fields import FieldKind
 from .matrices import ExactMatrix
+
+# bytes 0 and 1 to the digits "0" and "1", for int(..., 2)
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 # the largest vertex count SimplicialGraph.of accepts: its n masks of n bits
 # then take at most 2 MiB
@@ -266,13 +271,20 @@ def _scan_masks(a: ExactMatrix, windows: Sequence[tuple[int, int]]) -> tuple[int
     """Null-connectedness of the rows of a on a set of column windows.
 
     Bit j of mask i is set iff rows i != j (0-based) span a singular 2x2
-    minor on every column pair (x, y) in windows (0-based).  In each window
-    a row with both entries zero is singular with every row, and any other
-    row exactly with the rows of its projective class, so a window costs
-    O(m).  Rows with an empty mask drop out, and the scan stops once every
-    mask is empty.  Uncached: null_masks and row_null_masks keep what it
-    returns.
+    minor on every column pair (x, y) in windows (0-based).  Over GF(2)
+    this is _scan_bits, elsewhere _scan_classes; both return the same
+    masks.  Uncached: null_masks and row_null_masks keep what it returns.
     """
+    if a.spec.kind is FieldKind.GF2:
+        return _scan_bits(a, windows)
+    return _scan_classes(a, windows)
+
+
+def _scan_classes(a: ExactMatrix, windows: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """_scan_masks on any field.  In each window a row with both entries
+    zero is singular with every row, and any other row exactly with the
+    rows of its projective class, so a window costs O(m).  Rows with an
+    empty mask drop out, and the scan stops once every mask is empty."""
     m = a.m
     masks = [((1 << m) - 1) ^ (1 << i) for i in range(m)]
     rows, key = _projective_classes(a)
@@ -295,6 +307,43 @@ def _scan_masks(a: ExactMatrix, windows: Sequence[tuple[int, int]]) -> tuple[int
                 zero |= 1 << i
         for i, k in keyed:
             masks[i] &= classes[k] | zero
+    return tuple(masks)
+
+
+def _scan_bits(a: ExactMatrix, windows: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """_scan_masks over GF(2), on one row bitmask per column, kept in the
+    memo under "cols".  In a window (x, y) with column masks X and Y, the
+    three projective classes are the rows reading 11, 10 and 01: X & Y,
+    X & ~Y and Y & ~X.  Each row of a class ANDs the class and the zero
+    rows into its mask.  Only rows with a nonempty mask take part."""
+    m = a.m
+    full = (1 << m) - 1
+    masks = [full ^ 1 << i for i in range(m)]
+    cols = a._memo.get("cols")
+    if cols is None:
+        # the entries as "0"/"1" bytes, last row first, so that column c,
+        # every n-th byte from c, reads as a binary number with row i at bit i
+        bits = b"".join(map(bytes, reversed(a.raw()))).translate(_BINARY_DIGITS)
+        n = a.n
+        cols = a._memo["cols"] = tuple([int(bits[c::n], 2) for c in range(n)])
+    live = full
+    for x, y in windows:
+        if not live:
+            break
+        xs, ys = cols[x] & live, cols[y] & live
+        if not (xs and ys):
+            continue  # a column zero on the live rows: every minor vanishes
+        both = xs & ys
+        zero = live ^ (xs | ys)
+        for rest in (both, xs ^ both, ys ^ both):
+            keep = rest | zero
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                masks[i] &= keep
+                if not masks[i]:
+                    live ^= low
+                rest ^= low
     return tuple(masks)
 
 

@@ -125,13 +125,19 @@ def determinant_generic(a: ExactMatrix) -> Scalar:
 
 
 def brute_null_connected(a: ExactMatrix, i: int, j: int, cyclic: bool) -> bool:
-    raw = a.raw()
-    zero = _is_zero_fn(a)
-    ri, rj = raw[i - 1], raw[j - 1]
     n = a.n
     windows = [(k, k + 1) for k in range(n - 1)]
     if cyclic and n >= 2:
         windows.append((n - 1, 0))
+    return brute_null_on(a, i, j, windows)
+
+
+def brute_null_on(a: ExactMatrix, i: int, j: int, windows) -> bool:
+    """True iff rows i, j (1-based) span a singular 2x2 minor on every
+    column pair (x, y) in windows (0-based)."""
+    raw = a.raw()
+    zero = _is_zero_fn(a)
+    ri, rj = raw[i - 1], raw[j - 1]
     return all(zero(ri[x] * rj[y] - ri[y] * rj[x]) for x, y in windows)
 
 

@@ -23,6 +23,7 @@ from tworow import (
     find_one_blocks,
     opp_graph,
     rank,
+    sample_gl,
     traceable_ordering,
     two_row_graph,
 )
@@ -137,3 +138,23 @@ def test_changing_a_returned_mask_list_changes_nothing_later(spec):
                 assert two_row_graph(warm, cyclic) == two_row_graph(fresh, cyclic)
                 assert opp_graph(warm, cyclic) == opp_graph(fresh, cyclic)
             assert null_masks(warm, windows) == null_masks(fresh, windows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_sampled_matrix_answers_as_a_fresh_copy(q):
+    # sample_gl hands its matrix the (rank, det) of the draw it kept
+    rng = random.Random(f"sample:{q}")
+    for n in range(1, 8):
+        for _ in range(4):
+            sampled = sample_gl(n, q, rng)
+            fresh = ExactMatrix(sampled.spec, sampled.raw())
+            calls = [("determinant", determinant), ("rank", rank)]
+            for cyclic in (False, True):
+                calls.append((f"two_row_graph {cyclic}",
+                              lambda a, c=cyclic: two_row_graph(a, c)))
+            for k, g in enumerate(_graphs(rng, n)):
+                t = cup_pairing(g, sampled.spec)
+                calls.append((f"basis_support_graph {k}",
+                              lambda a, t=t: basis_support_graph(t, BasisMatrix(a))))
+            for name, f in calls:
+                assert _outcome(f, sampled) == _outcome(f, fresh), (name, sampled)

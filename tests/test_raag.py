@@ -99,10 +99,10 @@ def test_graph_size_bound():
 
 def test_cup_pairing_shapes():
     single = cup_pairing(SimplicialGraph.of(2, [(1, 2)]), GF2)
-    assert single.dim_v == 2 and single.dim_w == 1
+    assert single.n == 2 and len(single.edges) == 1
     assert single.edge_index == {(1, 2): 1}
     isolated = cup_pairing(SimplicialGraph.of(2, []), GF2)
-    assert isolated.dim_w == 0
+    assert isolated.n == 2 and len(isolated.edges) == 0
     p3 = cup_pairing(p_n(3), GF3)
     assert p3.edges == ((1, 2), (2, 3))
     assert p3.q_basis(1, 3) is None

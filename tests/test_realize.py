@@ -9,6 +9,7 @@ from tworow import (
     AssertionFailure,
     ExactMatrix,
     GF2,
+    GF3,
     RealizationResult,
     SimplicialGraph,
     expected_columns,
@@ -110,6 +111,21 @@ def test_tamper_detection():
     assert detected_p3 >= 1
 
 
+def test_verify_rejects_entries_outside_0_1():
+    # scaling a column keeps every minor's vanishing, so the two-row graph
+    # stays the input graph and only the 0/1 check can reject the matrix
+    rng = random.Random(8)
+    for _ in range(10):
+        g = random_graph(rng, rng.randint(2, 7))
+        rows = [list(row) for row in realize(g).a.raw()]
+        c = rng.choice([c for c in range(len(rows[0])) if any(r[c] for r in rows)])
+        for r in rows:
+            r[c] *= 2
+        scaled = ExactMatrix(GF3, rows)
+        assert two_row_graph(scaled) == g
+        assert not verify_realization(g, RealizationResult(scaled))
+
+
 def test_verify_rejects_wrong_shape():
     g = SimplicialGraph.of(3, [(1, 2)])
     assert not verify_realization(g, RealizationResult(ExactMatrix.identity(GF2, 2)))
@@ -121,8 +137,7 @@ def test_result_json():
     d = res.to_json_dict()
     assert d["rows_are_vertices"] is True
     assert d["matrix"]["field"] == "gf2"
-    assert res.vertex_to_row(2) == 2
-    assert res.n == 2
+    assert res.n == res.a.m == 2
 
 
 # sha256 of realize(g).a.raw() over pinned_graphs(), as the row-by-row

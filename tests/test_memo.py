@@ -27,6 +27,7 @@ from tworow import (
     traceable_ordering,
     two_row_graph,
 )
+from tworow import matrices
 from tworow.rowgraph import null_masks, row_null_masks
 
 from .conftest import ALL_SPECS
@@ -158,3 +159,27 @@ def test_sampled_matrix_answers_as_a_fresh_copy(q):
                               lambda a, t=t: basis_support_graph(t, BasisMatrix(a))))
             for name, f in calls:
                 assert _outcome(f, sampled) == _outcome(f, fresh), (name, sampled)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_sampled_matrix_is_not_eliminated_again(q, monkeypatch):
+    a = sample_gl(6, q, random.Random(q))
+    calls = []
+
+    def counted(name):
+        real = getattr(matrices, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(matrices, name, wrapper)
+
+    counted("_eliminate")
+    counted("_eliminate_gf2")
+    t = cup_pairing(_graphs(random.Random(q), 6)[-1], a.spec)
+    assert determinant(a) and rank(a) == 6
+    basis_support_graph(t, BasisMatrix(a))
+    assert calls == []
+    determinant(ExactMatrix(a.spec, a.raw()))
+    assert len(calls) == 1

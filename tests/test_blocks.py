@@ -591,6 +591,44 @@ def test_complete_tracks_match_string_oracle():
             assert complete_tracks(a, cyclic) == list(first_seen), a.to_json_dict()
 
 
+def track_pin_matrices():
+    """Every binary 3x3 matrix, every 7th binary 4x4 one, and 300 seeded
+    random and planted-block matrices up to 7x7 over GF(2), GF(3), GF(7)
+    and Q."""
+    matrices = [
+        ExactMatrix(GF2, [[bits >> (n * r + c) & 1 for c in range(n)] for r in range(n)])
+        for n, step in ((3, 1), (4, 7))
+        for bits in range(0, 2 ** (n * n), step)
+    ]
+    rng = random.Random(1701)
+    specs = [GF2, GF3, FieldSpec.gf(7), QQ]
+    for k in range(300):
+        spec = specs[k % 4]
+        if k // 4 % 2:
+            matrices.append(planted_blocks(rng, spec, *[rng.randint(2, 7)] * 2))
+        else:
+            matrices.append(random_matrix(rng, spec, *[rng.randint(1, 7)] * 2))
+    return matrices
+
+
+def test_track_sums_pinned():
+    # every track of complete_tracks with its sum, and det_by_tracks, plain
+    # and cyclic, on track_pin_matrices, by one digest
+    digest = hashlib.sha256()
+    tracks = wide = 0
+    for a in track_pin_matrices():
+        for cyclic in (False, True):
+            for t in complete_tracks(a, cyclic):
+                digest.update(json.dumps([repr(t), str(track_sum(a, t))]).encode())
+                tracks += 1
+                wide += t.has_minor
+            digest.update(str(det_by_tracks(a, cyclic)).encode())
+    assert (tracks, wide) == (68683, 8673)
+    assert digest.hexdigest() == (
+        "ccb7079420ca705a3a5e5048b84bb49b873491346447c2f2e2552cae94de821b"
+    )
+
+
 def test_complete_tracks_bound():
     with pytest.raises(SizeBound):
         complete_tracks(ExactMatrix.identity(GF2, 9))

@@ -23,17 +23,20 @@ so that its track has only 1x1 members, and wide otherwise.
 det_by_tracks is a subset DP over the columns that sums the narrow and the
 wide strings apart, returns the first and checks that the second is zero.
 A track sum is a generalized Laplace product: the sign of one string of the
-track times its member minors; it is the one sum of a track.  Only the track
-list walks strings, with no products or signs, meeting each track once at
-its smallest string; a narrow string is a track of its own, and only wide
-ones are canonicalized.  The DP places row r with one sign flip per used row
-of larger index, and track_sum takes one string's sign from image_sign.
+track times its member minors; it is the one sum of a track.  All it needs
+of the track, its plan, is derived once and kept on the track, so a sum only
+multiplies entries and eliminates minors.  Only the track list walks
+strings, with no products, meeting each track once at its smallest string;
+a narrow string is a track of its own, handed out with its plan, and only
+wide ones are canonicalized.  The DP and the walk place row r with one sign
+flip per used row of larger index.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import getitem
 
 from .errors import (
     AssertionFailure,
@@ -137,11 +140,17 @@ class TrackMember(Value):
 
 
 class OneTrack(Value):
-    __slots__ = ("members", "cyclic")
+    """A chain of track members; complete on n columns when theirs sum to n.
+
+    _plan is not a field: it holds _track_plan of the track, filled by the
+    first track_sum on it, or by complete_tracks for a narrow track."""
+
+    __slots__ = ("members", "cyclic", "_plan")
 
     def __init__(self, members: tuple[TrackMember, ...], cyclic: bool) -> None:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "cyclic", cyclic)
+        object.__setattr__(self, "_plan", None)
 
     def _key(self) -> tuple:
         return self.members, self.cyclic
@@ -156,6 +165,23 @@ class OneTrack(Value):
     @property
     def has_minor(self) -> bool:
         return any(m.is_minor for m in self.members)
+
+
+# OneTrack's slot setters.  object.__setattr__ first checks that it does not
+# bypass the class's own __setattr__, which cost most of the time of making a
+# track in complete_tracks.
+_set_members = OneTrack.members.__set__
+_set_cyclic = OneTrack.cyclic.__set__
+_set_plan = OneTrack._plan.__set__
+
+
+def _planned_track(members: tuple, cyclic: bool, plan: tuple) -> OneTrack:
+    """The track with its plan given, unchecked."""
+    track = object.__new__(OneTrack)
+    _set_members(track, members)
+    _set_cyclic(track, cyclic)
+    _set_plan(track, plan)
+    return track
 
 
 class TrackString(Value):
@@ -326,6 +352,43 @@ def _check_enumerable(a: ExactMatrix, max_size: int) -> None:
         raise SizeBound(f"n={a.n} exceeds the track enumeration bound {max_size}")
 
 
+def _track_plan(track: OneTrack) -> tuple:
+    """(n, rows, cols, minors, sign): what track_sum needs of the track, on
+    its n columns.  Its 1x1 members sit on the 0-based cells (rows[k],
+    cols[k]), its other members on the 0-based (rows, cols) pairs of minors,
+    and sign is that of one string of the track: each member's rows down its
+    columns, in order.  rows is None when no string fits, and SizeBound when
+    more than DEFAULT_TRACK_BOUND! strings would."""
+    members = track.members
+    n = track.total_cols
+    misfit = (n, None, None, None, 0)
+    if sorted([r for mb in members for r in mb.rows]) != list(range(1, n + 1)):
+        return misfit  # no string can belong to such a track
+    # the member sizes sum to n, so there are at most n! strings
+    if n > DEFAULT_TRACK_BOUND:
+        count = math.prod(math.factorial(len(mb.rows)) for mb in members)
+        if count > math.factorial(DEFAULT_TRACK_BOUND):
+            raise SizeBound(
+                f"track has {count} strings, above the bound {DEFAULT_TRACK_BOUND}!"
+            )
+    image = [0] * n  # image[c]: the row taking column c, 0 while untaken
+    rows, cols, minors = [], [], []
+    for mb in members:
+        if len(mb.rows) != mb.col_len:
+            return misfit
+        span = [(mb.col_start - 1 + t) % n for t in range(mb.col_len)]
+        for r, c in zip(mb.rows, span):
+            if image[c]:
+                return misfit
+            image[c] = r
+        if mb.col_len == 1:
+            rows.append(mb.rows[0] - 1)
+            cols.append(span[0])
+        elif span:
+            minors.append((tuple(r - 1 for r in mb.rows), tuple(span)))
+    return n, tuple(rows), tuple(cols), tuple(minors), image_sign(image)
+
+
 def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     """Sum of sgn(sigma) * product(entries) over all strings belonging to the
     track.  Zero whenever some member is a true minor (>= 2 rows) inside a
@@ -335,51 +398,28 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     A string fits the track only when its members tile the columns: each
     column in exactly one member, each member with as many columns as rows.
     The sum is then the generalized Laplace product: the sign of one string
-    of the track (each member's rows down its columns, in order) times the
-    member minors, rows and columns taken in that same order.  Over Q the
-    minors are taken on the cached integer rows, and since the members use
-    each row once the product is divided by their scale once."""
+    of the track times the member minors, rows and columns in member order.
+    All of that but the entries is the track's plan, _track_plan, computed
+    on the first call and kept on the track, so later calls only multiply.
+    Over Q the minors are taken on the cached integer rows, and since the
+    members use each row once the product is divided by their scale once."""
     if not a.is_square:
         raise NotSquare("track sums are defined for square matrices")
-    n = a.n
-    if not track.is_complete(n):
-        raise IncompleteTrack(
-            f"track covers {track.total_cols} of {n} columns"
-        )
-    members = track.members
-    if sorted([r for mb in members for r in mb.rows]) != list(range(1, n + 1)):
-        return a.spec.zero  # no string can belong to such a track
-    # the member sizes sum to n, so there are at most n! strings
-    if n > DEFAULT_TRACK_BOUND:
-        count = math.prod(math.factorial(len(mb.rows)) for mb in members)
-        if count > math.factorial(DEFAULT_TRACK_BOUND):
-            raise SizeBound(
-                f"track has {count} strings, above the bound {DEFAULT_TRACK_BOUND}!"
-            )
+    plan = track._plan
+    n = track.total_cols if plan is None else plan[0]
+    if n != a.n:
+        raise IncompleteTrack(f"track covers {n} of {a.n} columns")
+    if plan is None:
+        plan = _track_plan(track)
+        _set_plan(track, plan)
+    _, rows, cols, minors, sign = plan
+    if rows is None:
+        return a.spec.zero
     ints, scale = a._int_rows()
     p = a.spec.characteristic
-    image = [0] * n  # image[c]: the row taking column c, 0 while untaken
-    value = 1
-    for mb in members:
-        rows = mb.rows
-        start = mb.col_start - 1
-        if mb.col_len == 1 == len(rows):  # a single cell, the common case
-            c = start % n
-            if image[c]:
-                return a.spec.zero
-            image[c] = rows[0]
-            value *= ints[rows[0] - 1][c]
-            continue
-        if len(rows) != mb.col_len:
-            return a.spec.zero
-        cols = [(start + t) % n for t in range(mb.col_len)]
-        for r, c in zip(rows, cols):
-            if image[c]:
-                return a.spec.zero
-            image[c] = r
-        if rows:
-            value *= _eliminate([[ints[r - 1][c] for c in cols] for r in rows], p)[1]
-    value *= image_sign(image)
+    value = sign * math.prod(map(getitem, map(ints.__getitem__, rows), cols))
+    for mrows, mcols in minors:
+        value *= _eliminate([[ints[r][c] for c in mcols] for r in mrows], p)[1]
     return a.spec.scalar(value % p if p else Fraction(value, scale))
 
 
@@ -396,12 +436,14 @@ def complete_tracks(
     places a row below the previous one in the same block, which cuts the
     whole subtree, and keeps a leaf whose wrap pair shares a block only if
     its last head row is below its first tail row or the run covers every
-    column.  stack[c] holds the nonzero rows column c has yet to try, rows[c]
-    and cells[c] the 0-based row and block (or -1) of the cell taken there,
-    and wides[c] says two consecutive of the first c cells share a block.  A
-    narrow string (no two consecutive cells, closed when cyclic, in one
-    block) is a track of its own, all 1x1 members, so only wide strings go
-    through _canonical_track."""
+    column.  stack[c] holds the nonzero rows column c has yet to try, rows[c],
+    cells[c] and picked[c] the 0-based row, the block (or -1) and the 1x1
+    member of the cell taken there, wides[c] says two consecutive of the
+    first c cells share a block, and odds[c] is the parity of their
+    inversions.  A narrow string (no two consecutive cells, closed when
+    cyclic, in one block) is a track of its own, all 1x1 members, and leaves
+    with its plan; only wide strings go through _canonical_track, and get
+    their plan from their first track_sum."""
     _check_enumerable(a, max_size)
     n = a.n
     owner = _one_blocks(a, cyclic)[1]
@@ -412,9 +454,12 @@ def complete_tracks(
         for r, row in enumerate(raw)
     ]
     nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in zip(*raw)]
+    cols = tuple(range(n))
     rows: list[int] = []
     cells: list[int] = []
+    picked: list[TrackMember] = []
     wides = [False]
+    odds = [0]
     used = 0
     stack = [nonzero[0]]
     out = []
@@ -425,7 +470,9 @@ def complete_tracks(
             if rows:
                 used ^= 1 << rows.pop()
                 cells.pop()
+                picked.pop()
                 wides.pop()
+                odds.pop()
             continue
         bit = free & -free
         stack[-1] = free ^ bit
@@ -437,14 +484,18 @@ def complete_tracks(
             continue
         rows.append(r)
         cells.append(b)
+        odd = odds[-1] ^ (used >> r).bit_count() & 1
         if c + 1 < n:
+            picked.append(single[r][c])
             wides.append(wides[-1] or same)
+            odds.append(odd)
             used |= bit
             stack.append(nonzero[c + 1])
             continue
         wrap = cyclic and cells[0] == b >= 0
         if not (wrap or same or wides[-1]):
-            out.append(OneTrack(tuple([single[r][c] for c, r in enumerate(rows)]), cyclic))
+            plan = (n, tuple(rows), cols, (), -1 if odd else 1)
+            out.append(_planned_track((*picked, single[r][c]), cyclic, plan))
         else:
             # wrap pair in block b: head ends before other[0], tail starts after other[-1]
             other = [t for t, e in enumerate(cells) if e != b] if wrap else []

@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -627,6 +629,73 @@ def test_track_sums_pinned():
     assert digest.hexdigest() == (
         "ccb7079420ca705a3a5e5048b84bb49b873491346447c2f2e2552cae94de821b"
     )
+
+
+def test_seeded_plans_match_fresh_plans():
+    # complete_tracks hands each narrow track out with its plan, which must
+    # be the one _track_plan derives for an equal track, its sign that of
+    # the track's one string; a wide track gets its plan from track_sum
+    narrow = wide = 0
+    for a in track_pin_matrices():
+        for cyclic in (False, True):
+            for t in complete_tracks(a, cyclic):
+                if t.has_minor:
+                    assert t._plan is None
+                    track_sum(a, t)
+                    wide += 1
+                else:
+                    assert t._plan[4] == perm_parity(tuple(m.rows[0] for m in t.members))
+                    narrow += 1
+                assert t._plan == blocks._track_plan(OneTrack(t.members, t.cyclic))
+    assert (narrow, wide) == (60010, 8673)
+
+
+def test_track_plan_belongs_to_the_track():
+    rng = random.Random(1703)
+    specs = [GF2, GF3, FieldSpec.gf(7), QQ]
+    wide = 0
+    for k in range(24):
+        n = rng.randint(3, 5)
+        a = planted_blocks(rng, specs[k % 4], n, n)
+        # other entries and another field, of the same size and not
+        b = random_matrix(rng, specs[(k + 1) % 4], n, n)
+        c = random_matrix(rng, specs[(k + 2) % 4], n + 1, n + 1)
+        for cyclic in (False, True):
+            for t in complete_tracks(a, cyclic):
+                wide += t.has_minor
+                fresh = OneTrack(t.members, t.cyclic)
+                with pytest.raises(IncompleteTrack):
+                    track_sum(c, fresh)
+                assert fresh._plan is None
+                track_sum(a, t)
+                assert track_sum(b, t) == track_sum(b, fresh)
+                for track in (t, fresh):
+                    with pytest.raises(IncompleteTrack):
+                        track_sum(c, track)
+                # the plan is no field: equality, hashing, repr, pickling
+                # and copying all ignore it
+                assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+                assert pickle.dumps(t) == pickle.dumps(OneTrack(t.members, t.cyclic))
+                for back in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+                    assert back == t and back._plan is None
+    assert wide
+    # errors are raised on every call, and never leave a plan behind
+    ones = ExactMatrix(GF3, [[1] * 9] * 9)
+    over = track_of_string(ones, RowPermutation.identity(9))
+    clipped = OneTrack(over.members, False)
+    for _ in range(2):
+        with pytest.raises(SizeBound):
+            track_sum(ones, over)
+        with pytest.raises(IncompleteTrack):
+            track_sum(ExactMatrix.identity(GF3, 8), clipped)
+    assert over._plan is None and clipped._plan is None
+    # a cached plan gives what the first call gave, malformed tracks too
+    for n, mbs, expected in MALFORMED_TRACKS:
+        if expected is not IncompleteTrack:
+            a = random_matrix(rng, specs[2], n, n)
+            track = OneTrack(mbs, True)
+            first = track_sum(a, track)
+            assert track._plan is not None and track_sum(a, track) == first
 
 
 def test_complete_tracks_bound():

@@ -272,6 +272,12 @@ def test_only_matrices_and_rowgraph_name_the_memo():
     assert _named_outside("_memo", {"matrices.py", "rowgraph.py"}) == []
 
 
+def test_only_blocks_names_a_track_plan():
+    # a track's plan is derived from the track alone, in one module, so no
+    # other caller can hand it one that does not fit
+    assert _named_outside("_plan", {"blocks.py"}) == []
+
+
 # seeded output each script must print for the arguments below
 SCRIPT_OUTPUT = {
     "completeness_table.py": (

@@ -24,11 +24,11 @@ det_by_tracks is a subset DP over the columns that sums the narrow and the
 wide strings apart, returns the first and checks that the second is zero.
 A track sum is a generalized Laplace product: the sign of one string of the
 track times its member minors; it is the one sum of a track.  All it needs
-of the track, its plan, is derived once and kept on the track, so a sum only
-multiplies entries and eliminates minors.  Only the track list walks
-strings, with no products, meeting each track once at its smallest string;
-a narrow string is a track of its own, handed out with its plan, and only
-wide ones are canonicalized.  The DP and the walk place row r with one sign
+of the track, its plan, depends on the track alone; the track list hands each
+narrow track out with its plan, so its sum only multiplies entries.  Only
+the track list walks strings, with no products, meeting each track once at
+its smallest string; a narrow string is a track of its own, and only wide
+ones are canonicalized.  The DP and the walk place row r with one sign
 flip per used row of larger index.
 """
 
@@ -142,8 +142,8 @@ class TrackMember(Value):
 class OneTrack(Value):
     """A chain of track members; complete on n columns when theirs sum to n.
 
-    _plan is not a field: it holds _track_plan of the track, filled by the
-    first track_sum on it, or by complete_tracks for a narrow track."""
+    _plan is not a field: it holds _track_plan of the track when
+    complete_tracks hands out a narrow track, and is None otherwise."""
 
     __slots__ = ("members", "cyclic", "_plan")
 
@@ -399,8 +399,9 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     column in exactly one member, each member with as many columns as rows.
     The sum is then the generalized Laplace product: the sign of one string
     of the track times the member minors, rows and columns in member order.
-    All of that but the entries is the track's plan, _track_plan, computed
-    on the first call and kept on the track, so later calls only multiply.
+    All of that but the entries is the track's plan, _track_plan, which
+    complete_tracks hands out with each narrow track; other tracks derive
+    it on every call.
     Over Q the minors are taken on the cached integer rows, and since the
     members use each row once the product is divided by their scale once."""
     if not a.is_square:
@@ -409,10 +410,7 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     n = track.total_cols if plan is None else plan[0]
     if n != a.n:
         raise IncompleteTrack(f"track covers {n} of {a.n} columns")
-    if plan is None:
-        plan = _track_plan(track)
-        _set_plan(track, plan)
-    _, rows, cols, minors, sign = plan
+    _, rows, cols, minors, sign = plan or _track_plan(track)
     if rows is None:
         return a.spec.zero
     ints, scale = a._int_rows()
@@ -442,8 +440,8 @@ def complete_tracks(
     first c cells share a block, and odds[c] is the parity of their
     inversions.  A narrow string (no two consecutive cells, closed when
     cyclic, in one block) is a track of its own, all 1x1 members, and leaves
-    with its plan; only wide strings go through _canonical_track, and get
-    their plan from their first track_sum."""
+    with its plan; only wide strings go through _canonical_track, and
+    their track_sum derives their plan."""
     _check_enumerable(a, max_size)
     n = a.n
     owner = _one_blocks(a, cyclic)[1]

@@ -64,13 +64,7 @@ class OneBlock(Value):
     def __init__(
         self, rows: tuple[int, ...], col_start: int, col_len: int, cyclic: bool
     ) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "col_start", col_start)
-        object.__setattr__(self, "col_len", col_len)
-        object.__setattr__(self, "cyclic", cyclic)
-
-    def _key(self) -> tuple:
-        return self.rows, self.col_start, self.col_len, self.cyclic
+        self._set(rows, col_start, col_len, cyclic)
 
     def columns(self, n: int) -> tuple[int, ...]:
         return tuple((self.col_start - 1 + t) % n + 1 for t in range(self.col_len))
@@ -101,13 +95,7 @@ class BlockPartition(Value):
         zero_singletons: tuple[tuple[int, int], ...],
         owner: tuple[tuple[int, ...], ...],
     ) -> None:
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "nonzero_singletons", nonzero_singletons)
-        object.__setattr__(self, "zero_singletons", zero_singletons)
-        object.__setattr__(self, "owner", owner)
-
-    def _key(self) -> tuple:
-        return self.blocks, self.nonzero_singletons, self.zero_singletons, self.owner
+        self._set(blocks, nonzero_singletons, zero_singletons, owner)
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,12 +112,7 @@ class TrackMember(Value):
     __slots__ = ("rows", "col_start", "col_len")
 
     def __init__(self, rows: tuple[int, ...], col_start: int, col_len: int) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "col_start", col_start)
-        object.__setattr__(self, "col_len", col_len)
-
-    def _key(self) -> tuple:
-        return self.rows, self.col_start, self.col_len
+        self._set(rows, col_start, col_len)
 
     @property
     def is_minor(self) -> bool:
@@ -142,18 +125,15 @@ class TrackMember(Value):
 class OneTrack(Value):
     """A chain of track members; complete on n columns when theirs sum to n.
 
-    _plan is not a field: it holds _track_plan of the track when
-    complete_tracks hands out a narrow track, and is None otherwise."""
+    _plan is a slot but not a field, so equality, hashing, repr and pickling
+    leave it out; __init__ sets it to None, and complete_tracks sets it,
+    through OneTrack._setters, to _track_plan of each narrow track it hands
+    out."""
 
     __slots__ = ("members", "cyclic", "_plan")
 
     def __init__(self, members: tuple[TrackMember, ...], cyclic: bool) -> None:
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "cyclic", cyclic)
-        object.__setattr__(self, "_plan", None)
-
-    def _key(self) -> tuple:
-        return self.members, self.cyclic
+        self._set(members, cyclic, None)
 
     @property
     def total_cols(self) -> int:
@@ -167,12 +147,9 @@ class OneTrack(Value):
         return any(m.is_minor for m in self.members)
 
 
-# OneTrack's slot setters.  object.__setattr__ first checks that it does not
-# bypass the class's own __setattr__, which cost most of the time of making a
-# track in complete_tracks.
-_set_members = OneTrack.members.__set__
-_set_cyclic = OneTrack.cyclic.__set__
-_set_plan = OneTrack._plan.__set__
+# OneTrack's slot setters, called directly: complete_tracks makes a track
+# per leaf, and the generic loop of Value._make costs it measurably more.
+_set_members, _set_cyclic, _set_plan = OneTrack._setters
 
 
 def _planned_track(members: tuple, cyclic: bool, plan: tuple) -> OneTrack:
@@ -190,11 +167,7 @@ class TrackString(Value):
     __slots__ = ("sigma", "entries")
 
     def __init__(self, sigma: RowPermutation, entries: tuple[Scalar, ...]) -> None:
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "entries", entries)
-
-    def _key(self) -> tuple:
-        return self.sigma, self.entries
+        self._set(sigma, entries)
 
 
 def string_of(a: ExactMatrix, sigma: RowPermutation) -> TrackString:

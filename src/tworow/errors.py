@@ -69,30 +69,57 @@ class ParseError(TwoRowError, ValueError):
 class Value:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in __slots__ (a name with a leading
-    underscore, such as __dict__ for a cached property, is not a field),
-    sets them in its own __init__ through object.__setattr__, and returns
-    them in the same order from _key.  Equality and hashing go by that
-    field tuple and repr shows it as Name(field=value, ...), as for a
-    frozen dataclass; assignment and deletion raise AttributeError.
+    A subclass names its fields once, in __slots__; a name with a leading
+    underscore, such as __dict__ for a cached property or _plan, is not a
+    field.  When the class is made, _fields gets the field names and
+    _setters the __set__ of every slot but __dict__, both in slot order.
+    Its __init__ checks its arguments and hands every slot value, in slot
+    order, to _set; _make builds an instance from trusted slot values
+    without __init__.  Equality and hashing go by the field tuple, _key,
+    repr shows it as Name(field=value, ...), as for a frozen dataclass, and
+    pickling rebuilds through __init__ from it; assignment and deletion
+    raise AttributeError.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...]
+    _setters: tuple
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        slots = cls.__dict__.get("__slots__")
+        if slots is not None:  # a subclass without slots keeps its base's
+            cls._fields = tuple(name for name in slots if name[0] != "_")
+            cls._setters = tuple(
+                cls.__dict__[name].__set__ for name in slots if name != "__dict__"
+            )
+
+    def _set(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    @classmethod
+    def _make(cls, *values):
+        """The instance with these slot values, unchecked."""
+        obj = object.__new__(cls)
+        # _set's loop, inline: the graph kernels make their graphs here
+        for setter, value in zip(cls._setters, values):
+            setter(obj, value)
+        return obj
 
     def _key(self) -> tuple:
-        raise NotImplementedError
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return other is self or self._key() == other._key()
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        names = [name for name in type(self).__slots__ if name[0] != "_"]
-        body = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._key()))
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key()))
         return f"{type(self).__qualname__}({body})"
 
     def __reduce__(self):

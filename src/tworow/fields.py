@@ -65,11 +65,7 @@ class FieldSpec(Value):
         else:
             if p is not None:
                 raise ParseError("rational spec carries no modulus")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p", p)
-
-    def _key(self) -> tuple:
-        return self.kind, self.p
+        self._set(kind, p)
 
     @staticmethod
     def gf(p: int) -> "FieldSpec":

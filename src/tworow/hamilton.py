@@ -38,11 +38,7 @@ class PathWitness(Value):
     __slots__ = ("order", "closed")
 
     def __init__(self, order: tuple[int, ...], closed: bool) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "closed", closed)
-
-    def _key(self) -> tuple:
-        return self.order, self.closed
+        self._set(order, closed)
 
     def is_valid_for(self, g: SimplicialGraph) -> bool:
         order = self.order

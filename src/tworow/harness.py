@@ -40,14 +40,7 @@ class ExperimentConfig(Value):
             raise ParseError(f"field order must be prime, got {q}")
         if n < 2:
             raise SizeMismatch(f"experiments need n >= 2, got {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "mode", mode)
-
-    def _key(self) -> tuple:
-        return self.n, self.q, self.trials, self.seed, self.mode
+        self._set(n, q, trials, seed, mode)
 
     def to_json_dict(self) -> dict:
         return {
@@ -69,13 +62,7 @@ class ExperimentReport(Value):
         total: int,
         failures: tuple[ExactMatrix, ...] = (),
     ) -> None:
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "successes", successes)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "failures", failures)
-
-    def _key(self) -> tuple:
-        return self.config, self.successes, self.total, self.failures
+        self._set(config, successes, total, failures)
 
     @property
     def estimate(self) -> Fraction:

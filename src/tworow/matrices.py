@@ -185,7 +185,7 @@ class ExactMatrix:
                         except ParseError as exc:
                             raise ParseError(f"row {r}, column {c}: {exc}") from exc
                     vals.append(v)
-                elif isinstance(cell, int):
+                elif isinstance(cell, int) and not isinstance(cell, bool):
                     vals.append(spec.canonical(cell))
                 else:
                     raise ParseError(f"row {r}, column {c}: entries must be strings")
@@ -231,10 +231,7 @@ class RowPermutation(Value):
         n = len(image)
         if sorted(image) != list(range(1, n + 1)):
             raise SizeMismatch(f"not a permutation of 1..{n}: {image}")
-        object.__setattr__(self, "image", image)
-
-    def _key(self) -> tuple:
-        return (self.image,)
+        self._set(tuple(image))
 
     @property
     def n(self) -> int:

@@ -37,12 +37,7 @@ class PairingTriple(Value):
     def __init__(
         self, spec: FieldSpec, n: int, edges: tuple[tuple[int, int], ...]
     ) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-
-    def _key(self) -> tuple:
-        return self.spec, self.n, self.edges
+        self._set(spec, n, edges)
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -67,10 +62,7 @@ class BasisMatrix(Value):
     def __init__(self, a: ExactMatrix) -> None:
         if not a.is_square:
             raise SingularBasis(f"basis matrix must be square, got {a.m}x{a.n}")
-        object.__setattr__(self, "a", a)
-
-    def _key(self) -> tuple:
-        return (self.a,)
+        self._set(a)
 
     @property
     def n(self) -> int:

@@ -29,10 +29,7 @@ class RealizationResult(Value):
     __slots__ = ("a",)
 
     def __init__(self, a: ExactMatrix) -> None:
-        object.__setattr__(self, "a", a)
-
-    def _key(self) -> tuple:
-        return (self.a,)
+        self._set(a)
 
     @property
     def n(self) -> int:

@@ -82,19 +82,7 @@ class SimplicialGraph(Value):
                 raise ParseError(f"vertex {i + 1}: loop or vertex outside 1..{n}")
             if into[i] != mask:
                 raise ParseError(f"vertex {i + 1}: adjacency masks are not symmetric")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
-
-    def _key(self) -> tuple:
-        return self.n, self.adj
-
-    @classmethod
-    def _from_masks(cls, adj: tuple[int, ...]) -> "SimplicialGraph":
-        """Trusted constructor: adj holds valid symmetric masks, unchecked."""
-        g = cls.__new__(cls)
-        object.__setattr__(g, "n", len(adj))
-        object.__setattr__(g, "adj", adj)
-        return g
+        self._set(n, adj)
 
     @staticmethod
     def of(n: int, pairs) -> "SimplicialGraph":
@@ -111,7 +99,7 @@ class SimplicialGraph(Value):
                 raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
             adj[i - 1] |= 1 << (j - 1)
             adj[j - 1] |= 1 << (i - 1)
-        return SimplicialGraph._from_masks(tuple(adj))
+        return SimplicialGraph._make(n, tuple(adj))
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -143,7 +131,7 @@ class SimplicialGraph(Value):
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise ParseError('graph JSON needs keys "n" and "edges"')
         n = obj["n"]
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise ParseError(f'"n" must be an integer, got {n!r}')
         edges = obj["edges"]
         if not isinstance(edges, list):
@@ -153,7 +141,7 @@ class SimplicialGraph(Value):
             if (
                 not isinstance(e, list)
                 or len(e) != 2
-                or not all(isinstance(v, int) for v in e)
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
             ):
                 raise ParseError(f"edge #{pos}: expected a pair of integers, got {e!r}")
             pairs.append((e[0], e[1]))
@@ -364,8 +352,8 @@ def non_null_graph(null: Sequence[int]) -> SimplicialGraph:
     null_masks and row_null_masks return them: the complement of
     null-connectedness."""
     full = (1 << len(null)) - 1
-    return SimplicialGraph._from_masks(
-        tuple(full ^ 1 << i ^ mask for i, mask in enumerate(null))
+    return SimplicialGraph._make(
+        len(null), tuple(full ^ 1 << i ^ mask for i, mask in enumerate(null))
     )
 
 
@@ -396,7 +384,7 @@ def two_row_graph(a: ExactMatrix, cyclic: bool = False) -> SimplicialGraph:
 
 def opp_graph(a: ExactMatrix, cyclic: bool = False) -> SimplicialGraph:
     """Null-connectedness as the edge relation; complements two_row_graph."""
-    return SimplicialGraph._from_masks(tuple(row_null_masks(a, cyclic)))
+    return SimplicialGraph._make(a.m, tuple(row_null_masks(a, cyclic)))
 
 
 def is_square_traceable(a: ExactMatrix) -> bool:

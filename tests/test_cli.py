@@ -399,3 +399,20 @@ def test_error_exit_codes(capsys, tmp_path):
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_json_booleans_are_not_integers(capsys, tmp_path):
+    # JSON true and false are Python bools, which isinstance(x, int) accepts
+    cases = [
+        (("det", "--matrix"), {"field": "gf2", "rows": [[True, False], [False, True]]},
+         "error: row 1, column 1: entries must be strings\n"),
+        (("raag", "--graph"), {"n": True, "edges": []},
+         "error: \"n\" must be an integer, got True\n"),
+        (("raag", "--graph"), {"n": 3, "edges": [[True, 2], [2, 3]]},
+         "error: edge #1: expected a pair of integers, got [True, 2]\n"),
+    ]
+    for k, (argv, doc, want) in enumerate(cases):
+        path = tmp_path / f"doc{k}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out, err) == (2, "", want)

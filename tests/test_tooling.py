@@ -278,6 +278,32 @@ def test_only_blocks_names_a_track_plan():
     assert _named_outside("_plan", {"blocks.py"}) == []
 
 
+def test_value_classes_state_their_fields_once():
+    # a value class names its fields in __slots__ alone: Value derives the
+    # field tuple, the slot setters, equality, hashing, repr and pickling
+    # from them, so none of these is written out in a subclass
+    found, classes = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = path.name, node
+            elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                  and getattr(node.value, "id", None) == "object"):
+                found.append(f"{path.name}:{node.lineno} object.__setattr__")
+    values, size = {"Value"}, 0
+    while size < len(values):
+        size = len(values)
+        values |= {name for name, (_, node) in classes.items()
+                   if any(getattr(base, "id", None) in values for base in node.bases)}
+    assert len(values) == 15  # Value and its 14 subclasses
+    derived = {"_key", "__eq__", "__hash__", "__repr__", "__reduce__"}
+    for name in values - {"Value"}:
+        file, node = classes[name]
+        found += [f"{file}:{item.lineno} {name}.{item.name}" for item in node.body
+                  if isinstance(item, ast.FunctionDef) and item.name in derived]
+    assert sorted(found) == []
+
+
 # seeded output each script must print for the arguments below
 SCRIPT_OUTPUT = {
     "completeness_table.py": (

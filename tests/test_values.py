@@ -3,10 +3,13 @@ hashing, repr, immutability, keyword construction, defaults and the
 validation errors of their constructors."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import tworow
 from tworow import (
     GF2,
     GF3,
@@ -32,6 +35,7 @@ from tworow import (
     TrackMember,
     TrackString,
 )
+from tworow.errors import Value
 
 A2 = ExactMatrix(GF2, [[1, 0], [0, 1]])
 A3 = ExactMatrix(GF2, [[1, 1], [0, 1]])
@@ -195,6 +199,25 @@ def test_keyword_construction(cls):
     assert mixed == _build(cls)
 
 
+def test_cases_cover_every_value_class():
+    # a value class missing here would escape every test in this file
+    for info in pkgutil.iter_modules(tworow.__path__):
+        importlib.import_module(f"tworow.{info.name}")
+    found = [cls for cls in Value.__subclasses__() if cls.__module__.startswith("tworow.")]
+    assert sorted(cls.__name__ for cls in found) == [cls.__name__ for cls in CLASSES]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_fields_and_trusted_construction_follow_the_slots(cls):
+    names, values, _, _ = CASES[cls]
+    assert cls._fields == names
+    plan = (None,) if cls is OneTrack else ()  # the one slot that is not a field
+    made = cls._make(*values, *plan)
+    assert type(made) is cls and made == _build(cls) and repr(made) == CASES[cls][3]
+    if cls is OneTrack:
+        assert made._plan is None
+
+
 def test_defaults():
     assert FieldSpec(FieldKind.RATIONAL) == FieldSpec(FieldKind.RATIONAL, None) == QQ
     assert FieldSpec(kind=FieldKind.RATIONAL).p is None
@@ -219,6 +242,17 @@ def test_simplicial_graph_stores_masks_as_a_tuple():
     g = SimplicialGraph(2, [2, 1])
     assert g.adj == (2, 1) and type(g.adj) is tuple
     assert hash(g) == hash((2, (2, 1)))
+
+
+def test_row_permutation_stores_its_image_as_a_tuple():
+    source = [2, 1]
+    p = RowPermutation(source)
+    assert p.image == (2, 1) and type(p.image) is tuple
+    assert p == RowPermutation((2, 1)) and hash(p) == hash(((2, 1),))
+    source.append(3)
+    assert p.n == 2
+    with pytest.raises(AttributeError):
+        p.image.append(3)
 
 
 @pytest.mark.parametrize(

@@ -201,6 +201,13 @@ def brute_one_blocks(a: ExactMatrix, cyclic: bool) -> set[tuple[tuple[int, ...],
     return keep
 
 
+def all_graphs(n: int):
+    """Every labelled simple graph on vertices 1..n."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for bits in range(1 << len(pairs)):
+        yield SimplicialGraph.of(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
+
+
 def brute_hamiltonian_path(n: int, edges: set[tuple[int, int]]):
     """Lexicographically first Hamiltonian path, or None."""
     if n == 1:

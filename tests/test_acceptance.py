@@ -5,7 +5,6 @@ pass/fail line per criterion.  Criteria with a runtime budget assert the
 elapsed wall-clock time as part of the test.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -45,7 +44,7 @@ from tworow import (
 )
 
 from .conftest import load_fixture_matrix, random_invertible, random_matrix
-from .oracles import graphs_isomorphic
+from .oracles import all_graphs, graphs_isomorphic
 
 SPECS = (GF2, GF3, GF5, QQ)
 
@@ -59,12 +58,6 @@ def report(num, detail, t0, budget=None):
     if budget is not None:
         assert elapsed < budget, f"criterion {num} took {elapsed:.1f}s >= {budget}s"
     print(f"criterion {num}: PASS ({elapsed:.2f}s) - {detail}")
-
-
-def all_graphs(n):
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for bits in range(1 << len(pairs)):
-        yield SimplicialGraph.of(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
 
 
 def random_graph(rng, n, p=0.5):

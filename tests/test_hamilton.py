@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -26,6 +27,7 @@ from tworow import (
 
 from .conftest import ALL_SPECS, random_invertible
 from .oracles import (
+    all_graphs,
     brute_hamiltonian_cycle,
     brute_hamiltonian_path,
     graphs_isomorphic,
@@ -232,6 +234,42 @@ def test_traceable_ordering_sparse_invertible(spec):
         sigma_c = traceable_ordering(a, cyclic=True)
         assert sigma_c is not None
         assert is_cyclically_square_traceable(permute_rows(a, sigma_c))
+
+
+def witness_digest(matrices):
+    """sha256 of the plain and cyclic traceable_ordering images, in order."""
+    digest = hashlib.sha256()
+    for a in matrices:
+        for cyclic in (False, True):
+            digest.update(repr(traceable_ordering(a, cyclic).image).encode())
+    return digest.hexdigest()
+
+
+def test_sparse_witnesses_pinned():
+    # 400 n = 22 sparse matrices, GF(2) and GF(5) in turn, as sparse-trace
+    # draws them: the search backtracks with its memo off, so any change to
+    # its order or pruning that moves a witness shows here
+    rng = random.Random(1922)
+    matrices = [sparse_invertible(rng, (GF2, GF5)[k % 2], 22) for k in range(400)]
+    assert witness_digest(matrices) == (
+        "498c09680389551ce749916c9b9ec51daec0c71098cafae77cf0a6f7bea3bf68"
+    )
+    rng = random.Random(1964)
+    matrices = [sparse_invertible(rng, (GF2, GF5)[k % 2], 64) for k in range(6)]
+    assert witness_digest(matrices) == (
+        "268d0e2013fdcc728cfd559a8b3038ce39c8d227aec64dc77752d444fc3313df"
+    )
+
+
+def test_search_matches_brute_force_on_every_small_graph():
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            edges = set(g.edges)
+            got = hamiltonian_path(g)
+            assert (got and got.order) == brute_hamiltonian_path(n, edges), g
+            if n >= 3:
+                got = hamiltonian_cycle(g)
+                assert (got and got.order) == brute_hamiltonian_cycle(n, edges), g
 
 
 def test_isomorphism_examples(golden_7x7):

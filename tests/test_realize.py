@@ -1,6 +1,5 @@
 import hashlib
 import importlib
-import itertools
 import random
 
 import pytest
@@ -18,11 +17,7 @@ from tworow import (
     verify_realization,
 )
 
-
-def all_graphs(n):
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for bits in range(1 << len(pairs)):
-        yield SimplicialGraph.of(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
+from .oracles import all_graphs
 
 
 def random_graph(rng, n, p=0.5):

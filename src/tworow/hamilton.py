@@ -8,8 +8,9 @@ is the lexicographically smallest one, which golden tests rely on.  Pruning
 is lazy: once the search has met its first dead end, each new state
 (visited bitmask, last vertex) must pass a bit-mask test (every unvisited
 vertex reachable from the last one, and few enough forced path ends) before
-it is entered.  A greedy run to the end pays nothing for it.  The test only
-cuts states with no completion, so it never changes the witness.  Up to
+it is entered.  A greedy run to the end pays nothing for it, and the test
+is incremental along the path, so a forced move costs no search.  The test
+only cuts states with no completion, so it never changes the witness.  Up to
 MEMO_LIMIT vertices a dead-state memo on (visited bitmask, last vertex)
 also skips states already known to fail, shared by all start vertices of a
 path search.  No recursion is involved, so any graph size is safe from the
@@ -20,7 +21,7 @@ adjacency masks as they are stored.
 from __future__ import annotations
 
 from .errors import AssertionFailure, DegenerateGraph, NotSquare, Value
-from .matrices import ExactMatrix, RowPermutation, permute_rows
+from .matrices import ExactMatrix, RowPermutation, _rank_det, permute_rows
 from .rowgraph import (
     SimplicialGraph,
     is_cyclically_square_traceable,
@@ -64,28 +65,44 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
     is none.  Pruning and memo are described in the module docstring.
     Whether a state can be completed to a path does not depend on where the
     path started, so all starts share one memo.
+
+    The test is the one _probe describes.  A state on the path that passed
+    it keeps its ends (the free vertices that can only end the path); the
+    children of an untested state, entered before pruning switched on,
+    take _probe in full.  A child of a tested state takes the parent's
+    last vertex out of the pool, so only that vertex's free neighbours can
+    become ends.  If the parent's last vertex had no other free neighbour,
+    every path from it through the free vertices ran through the child, so
+    the parent's reachability carries over; otherwise _reaches searches.
     """
     n = len(adj)
     full = (1 << n) - 1
-    degrees = [m.bit_count() for m in adj]
     if closed:
-        if min(degrees) < 2:
+        if min(map(int.bit_count, adj)) < 2:
             return None
         starts: range | list[int] = [0]
+        # free vertices that may end the path, and the start's bit, which
+        # stays in the pool of a cycle
+        allowed, home = 0, 1
     else:
-        ends = [v for v, d in enumerate(degrees) if d < 2]
-        if len(ends) > 2 or 0 in degrees:
+        allowed, home = 1, 0
+        leaves = [v for v, m in enumerate(adj) if not m & m - 1]  # degree < 2
+        if len(leaves) > 2 or 0 in adj:
             return None
         # a vertex of degree 1 ends every path; with two of them, a path
         # from the smaller exists iff its reverse does
-        starts = ends[:1] if len(ends) == 2 else range(n)
+        starts = leaves[:1] if len(leaves) == 2 else range(n)
     # a dead state's key is mask << 5 | last: unique, as last < MEMO_LIMIT < 32
     dead: set[int] | None = set() if n <= MEMO_LIMIT else None
-    pruning = False
+    # None until pruning switches on; then ends[v] is the ends of the state
+    # on the path whose last vertex is v, or -1 if it is untested
+    ends: list[int] | None = None
     for start in starts:
         mask = 1 << start
         order = [start]
         stack = [adj[start]]  # untried successors of each vertex on the path
+        if ends is not None:
+            ends[start] = -1
         while stack:
             free = stack[-1]
             if not free:
@@ -95,7 +112,8 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
                 if dead is not None:
                     dead.add(mask << 5 | last)
                 mask ^= 1 << last
-                pruning = True
+                if ends is None:
+                    ends = [-1] * n
                 continue
             bit = free & -free
             stack[-1] = free ^ bit
@@ -105,10 +123,39 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
                 if not closed or adj[nxt] >> start & 1:
                     order.append(nxt)
                     return order
-                pruning = True
+                if ends is None:
+                    ends = [-1] * n
             elif dead is not None and mask << 5 | nxt in dead:
                 pass  # already known to fail
-            elif pruning and not _completable(adj, full ^ mask, nxt, start, closed):
+            elif ends is not None:
+                rest = full ^ mask
+                last = order[-1]
+                found = ends[last]
+                if found < 0:
+                    found = _probe(adj, rest, nxt, start, closed)
+                else:
+                    # the parent's last vertex leaves the pool.  The parent's
+                    # ends hold nxt only when the child fails anyway (an end
+                    # next to the last vertex has no free neighbour), so nxt
+                    # need not be taken out of them
+                    pool = rest | bit | home
+                    left = others = adj[last] & rest
+                    while left:
+                        low = left & -left
+                        left ^= low
+                        if (adj[low.bit_length() - 1] & pool).bit_count() < 2:
+                            found |= low
+                    if (
+                        found.bit_count() > allowed
+                        or closed and not adj[start] & rest
+                        or others and not _reaches(adj, rest, nxt)
+                    ):
+                        found = -1
+                if found >= 0:
+                    order.append(nxt)
+                    stack.append(adj[nxt] & ~mask)
+                    ends[nxt] = found
+                    continue
                 if dead is not None:
                     dead.add(mask << 5 | nxt)
             else:
@@ -119,22 +166,23 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
     return None
 
 
-def _completable(
-    adj: tuple[int, ...], free: int, last: int, start: int, closed: bool
-) -> bool:
-    """Necessary condition for a path from last through every vertex of the
-    nonempty set free (then back to start when closed).  Every free vertex
-    must be reachable from last through free.  A free vertex with fewer
-    than two neighbours among free, last (and start when closed) can only
-    end the path, so a path allows one such vertex and a cycle none; a
-    cycle also needs start to keep a free neighbour."""
+def _probe(adj: tuple[int, ...], free: int, last: int, start: int, closed: bool) -> int:
+    """The pruning test in full, for a state whose parent is untested: the
+    ends of a path from last through every vertex of the nonempty set free
+    (then back to start when closed), or -1 if it has no completion by this
+    necessary condition.  Every free vertex must be reachable from last
+    through free.  A free vertex with fewer than two neighbours among free,
+    last (and start when closed) can only end the path, so a path allows
+    one such vertex and a cycle none; a cycle also needs start to keep a
+    free neighbour."""
     pool = free | 1 << last
     allowed = 1
     if closed:
         if not adj[start] & free:
-            return False
+            return -1
         pool |= 1 << start
         allowed = 0
+    ends = 0
     seen = todo = adj[last] & free
     while todo:
         bit = todo & -todo
@@ -142,9 +190,22 @@ def _completable(
         nbrs = adj[bit.bit_length() - 1]
         if (nbrs & pool).bit_count() < 2:
             if not allowed:
-                return False
+                return -1
             allowed -= 1
+            ends |= bit
         new = nbrs & free & ~seen
+        seen |= new
+        todo |= new
+    return ends if seen == free else -1
+
+
+def _reaches(adj: tuple[int, ...], free: int, last: int) -> bool:
+    """Whether every vertex of free is reachable from last through free."""
+    seen = todo = adj[last] & free
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        new = adj[bit.bit_length() - 1] & free & ~seen
         seen |= new
         todo |= new
     return seen == free
@@ -159,13 +220,13 @@ def _checked(witness: PathWitness, g: SimplicialGraph) -> PathWitness:
 
 def _witness(g: SimplicialGraph, cyclic: bool) -> PathWitness | None:
     """graph_hamiltonicity before its postcondition: the witness as the
-    search returns it, or None."""
+    search returns it, unchecked, or None."""
     if g.n < (3 if cyclic else 2):
-        return None if cyclic else PathWitness((1,), False)
+        return None if cyclic else PathWitness._make((1,), False)
     order = _search(g.adj, cyclic)
     if order is None:
         return None
-    return PathWitness(tuple(v + 1 for v in order), cyclic)
+    return PathWitness._make(tuple(v + 1 for v in order), cyclic)
 
 
 def hamiltonian_path(g: SimplicialGraph) -> PathWitness | None:
@@ -192,6 +253,9 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
     requested) spans an invertible consecutive-column window after permuting,
     i.e. a Hamiltonian path (cycle) in the two-row graph.  Single-row
     matrices are vacuously orderable; cyclic closure needs at least 3 rows.
+    By the paper's theorem every invertible matrix has such an order, so
+    None on one is a failure of the search, raised as AssertionFailure;
+    only a None answer pays for the determinant.
     """
     if not a.is_square:
         raise NotSquare(f"need a square matrix, got {a.m}x{a.n}")
@@ -200,6 +264,12 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
     # the witness is checked once, on the permuted matrix below
     witness = _witness(two_row_graph(a, cyclic), cyclic)
     if witness is None:
+        if (a.n >= 3 or not cyclic) and _rank_det(a)[1]:
+            raise AssertionFailure(
+                f"no {'cyclic ' if cyclic else ''}row order found for an "
+                f"invertible {a.n}x{a.n} matrix",
+                matrix=a,
+            )
         return None
     sigma = RowPermutation(witness.order)
     check = is_cyclically_square_traceable if cyclic else is_square_traceable

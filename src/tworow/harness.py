@@ -34,7 +34,7 @@ class ExperimentConfig(Value):
     def __init__(
         self, n: int, q: int, trials: int, seed: int, mode: ExperimentMode
     ) -> None:
-        if trials < 1:
+        if isinstance(trials, bool) or trials < 1:
             raise SizeMismatch(f"trials must be >= 1, got {trials}")
         if not is_prime(q):
             raise ParseError(f"field order must be prime, got {q}")

@@ -137,8 +137,9 @@ def basis_hamiltonian_witness(
 ) -> RowPermutation | None:
     """A row order sigma with q(w_sigma(i), w_sigma(i+1)) nonzero for every
     consecutive pair, closed cyclically when requested: a Hamiltonian
-    witness of the support graph, by graph_hamiltonicity."""
+    witness of the support graph, by graph_hamiltonicity, whose check makes
+    its order a permutation."""
     witness = graph_hamiltonicity(_support_graph(t, _check_basis(t, basis)), cyclic)
     if witness is None:
         return None
-    return RowPermutation(witness.order)
+    return RowPermutation._make(witness.order)

@@ -64,7 +64,7 @@ class SimplicialGraph(Value):
 
     def __init__(self, n: int, adj: tuple[int, ...]) -> None:
         adj = tuple(adj)  # a list would not hash
-        if n < 1:
+        if isinstance(n, bool) or n < 1:
             raise ParseError(f"graph needs at least one vertex, got {n}")
         if len(adj) != n:
             raise ParseError(f"{len(adj)} adjacency masks for {n} vertices")
@@ -86,7 +86,7 @@ class SimplicialGraph(Value):
 
     @staticmethod
     def of(n: int, pairs) -> "SimplicialGraph":
-        if n < 1:
+        if isinstance(n, bool) or n < 1:
             raise ParseError(f"graph needs at least one vertex, got {n}")
         if n > MAX_VERTICES:
             raise SizeBound(f"graph has {n} vertices, above the bound {MAX_VERTICES}")

@@ -306,6 +306,15 @@ def test_trace_absent(capsys, tmp_path):
     assert code == 3 and "no traceable" in err
 
 
+def test_trace_zero_row(capsys, tmp_path):
+    # singular, so no order is an answer, not a failure of the search
+    path = tmp_path / "zero_row.csv"
+    path.write_text("1,0,0\n0,0,0\n0,0,1\n")
+    for cyclic in ((), ("--cyclic",)):
+        code, _, err = run_cli(capsys, "trace", "--matrix", str(path), *cyclic)
+        assert code == 3 and "no traceable" in err
+
+
 def test_trace_cyclic_identity(capsys):
     code, out, _ = run_cli(capsys, "trace", "--matrix", ID4, "--cyclic")
     assert code == 0

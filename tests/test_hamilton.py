@@ -272,6 +272,28 @@ def test_search_matches_brute_force_on_every_small_graph():
                 assert (got and got.order) == brute_hamiltonian_cycle(n, edges), g
 
 
+def test_none_on_an_invertible_matrix_raises(monkeypatch):
+    import tworow.hamilton as hamilton
+
+    # the paper's theorem: an invertible matrix has a row order, plain for
+    # n >= 2 and cyclic for n >= 3, so a search that finds none has failed
+    monkeypatch.setattr(hamilton, "_search", lambda adj, closed: None)
+    for n, cyclic in ((2, False), (3, False), (3, True), (6, True)):
+        a = ExactMatrix.identity(GF5, n)
+        with pytest.raises(AssertionFailure, match="invertible") as info:
+            traceable_ordering(a, cyclic)
+        assert info.value.matrix is a
+    # two rows close no cycle, invertible or not: no search, no failure
+    assert traceable_ordering(ExactMatrix.identity(GF5, 2), cyclic=True) is None
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_none_on_a_singular_matrix_stands(cyclic):
+    # a zero row is null-connected to no row, so there is no order
+    rows = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert traceable_ordering(ExactMatrix(GF2, rows), cyclic) is None
+
+
 def test_isomorphism_examples(golden_7x7):
     p3 = path_graph(3)
     relabeled = SimplicialGraph.of(3, [(3, 2), (2, 1)])

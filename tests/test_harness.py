@@ -26,6 +26,9 @@ def test_config_validation():
         ExperimentConfig(n=3, q=4, trials=10, seed=0, mode=ExperimentMode.COMPLETENESS)
     with pytest.raises(ParseError):
         ExperimentConfig(n=3, q=1, trials=10, seed=0, mode=ExperimentMode.COMPLETENESS)
+    # a bool is an int to Python, but no count
+    with pytest.raises(SizeMismatch, match="trials must be >= 1, got True"):
+        ExperimentConfig(3, 2, True, 0, ExperimentMode.COMPLETENESS)
 
 
 def test_trial_rng_determinism_and_independence():

@@ -210,6 +210,11 @@ def test_row_graph_validation():
         SimplicialGraph(3, (0b10, 0b01))
     with pytest.raises(ParseError):
         SimplicialGraph(0, ())
+    # a bool is an int to Python, but no vertex count
+    with pytest.raises(ParseError, match="at least one vertex, got True"):
+        SimplicialGraph.of(True, [])
+    with pytest.raises(ParseError, match="at least one vertex, got True"):
+        SimplicialGraph(True, (0,))
     # the symmetry check reads only set bits: O(n + E) on the largest path
     path = SimplicialGraph.of(4096, [(i, i + 1) for i in range(1, 4096)])
     t0 = time.perf_counter()

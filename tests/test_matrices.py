@@ -254,6 +254,53 @@ def test_from_json_errors_carry_positions():
         ExactMatrix.from_json_dict({"field": "gf2", "rows": [["1"], ["0", "1"]]})
 
 
+# a bad cell in a row after the first, where the first row has filled the
+# document's literal cache: (field, rows, the exact message)
+WARM_CACHE_ERRORS = [
+    ("gf(5)", [["1", "0"], ["0", True]], "row 2, column 2: entries must be strings"),
+    ("gf(5)", [["1", "0"], ["0", None]], "row 2, column 2: entries must be strings"),
+    ("gf(5)", [["1", "0"], ["0", ["1"]]], "row 2, column 2: entries must be strings"),
+    ("gf(5)", [["1", "0"], ["0", {"1": 1}]], "row 2, column 2: entries must be strings"),
+    ("gf(5)", [["1", "0"], ["0", 1.0]], "row 2, column 2: entries must be strings"),
+    ("gf(5)", [["1", "0"], ["0", "x"]], "row 2, column 2: bad gf(5) scalar literal 'x'"),
+    # an uncached literal before the bad cell is read first
+    ("gf(5)", [["1", "0"], ["3", "x"]], "row 2, column 2: bad gf(5) scalar literal 'x'"),
+    ("gf(5)", [["1", "0"], ["0", "1"], ["1", False]],
+     "row 3, column 2: entries must be strings"),
+    ("gf2", [["1", "0"], ["0", "x"]], "row 2, column 2: bad gf2 scalar literal 'x'"),
+    ("q", [["1/2", "0"], ["0", "1/0"]], "row 2, column 2: bad q scalar literal '1/0'"),
+    ("q", [["1/2", "0"], [" 1/2", True]], "row 2, column 2: entries must be strings"),
+    ("gf(5)", [["1", "0"], []], "row 2 must be a non-empty list of entries"),
+    ("gf(5)", [["1", "0"], "10"], "row 2 must be a non-empty list of entries"),
+    ("gf(5)", [["1", "0"], ["1"]], "ragged rows: all rows must share one length"),
+]
+
+
+@pytest.mark.parametrize("field, rows, message", WARM_CACHE_ERRORS)
+def test_from_json_errors_on_a_warm_cache(field, rows, message):
+    with pytest.raises(ParseError) as info:
+        ExactMatrix.from_json_dict({"field": field, "rows": rows})
+    assert str(info.value) == message
+
+
+def test_from_json_values_on_a_warm_cache():
+    # int cells and literals that differ from a cached one in text only
+    # ("01", " 1" beside "1") parse as on a cold cache
+    cases = [
+        ("gf(5)", [["1", "0"], ["01", " 1"], [7, -1]], ((1, 0), (1, 1), (2, 4))),
+        ("gf2", [["1", "0"], ["1", "01"], ["3", "0 "]], ((1, 0), (1, 1), (1, 0))),
+        ("q", [["1/2", "-1"], ["2/4", " 1/2"], [3, "-3/1"]],
+         ((Fraction(1, 2), Fraction(-1)), (Fraction(1, 2), Fraction(1, 2)),
+          (Fraction(3), Fraction(-3)))),
+    ]
+    for field, rows, want in cases:
+        a = ExactMatrix.from_json_dict({"field": field, "rows": rows})
+        assert a.raw() == want
+        kind = Fraction if field == "q" else int
+        assert all(type(v) is kind for row in a.raw() for v in row)
+        assert a == ExactMatrix(a.spec, rows)
+
+
 def test_csv_parsing():
     a = matrix_from_csv_text("1,0,1\n0,1,1\n", GF2)
     assert a.raw() == ((1, 0, 1), (0, 1, 1)) or a.raw() == [[1, 0, 1], [0, 1, 1]]

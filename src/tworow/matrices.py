@@ -164,6 +164,14 @@ class ExactMatrix:
 
     @staticmethod
     def from_json_dict(obj) -> "ExactMatrix":
+        """Read {"field": name, "rows": [[literal, ...], ...]}.
+
+        Each distinct literal is parsed once per document and kept in a
+        cache.  Once the cache holds a literal, a row is first read in one
+        pass of lookups; a row with any cell not in the cache (a new
+        literal, an int, or a bad cell) is read cell by cell instead, with
+        every check and message of that loop.
+        """
         if not isinstance(obj, dict) or "field" not in obj or "rows" not in obj:
             raise ParseError('matrix document needs "field" and "rows" keys')
         spec = parse_field(str(obj["field"]))
@@ -175,6 +183,12 @@ class ExactMatrix:
         for r, row in enumerate(rows, start=1):
             if not isinstance(row, list) or not row:
                 raise ParseError(f"row {r} must be a non-empty list of entries")
+            if parsed:
+                try:
+                    out.append(tuple(map(parsed.__getitem__, row)))
+                    continue
+                except (KeyError, TypeError):
+                    pass  # a cell not in the cache: read the row cell by cell
             vals = []
             for c, cell in enumerate(row, start=1):
                 if isinstance(cell, str):

@@ -25,6 +25,10 @@ of a set exactly when they are on each window, so the cyclic masks are the
 plain masks ANDed row by row with the wrap masks: the cyclic graph costs
 one window more than the plain one.  Cached masks are tuples; callers get
 a new list each time.
+
+null_connected and the traceability checks, which traceable_ordering runs
+on its answer, read raw entries only, never the kernel or the memo, so
+they stay an independent check of both.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from functools import cached_property
+from itertools import compress
 from math import gcd
 
 from .errors import (
@@ -92,6 +97,8 @@ class SimplicialGraph(Value):
             raise SizeBound(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
         adj = [0] * n
         for i, j in pairs:
+            if isinstance(i, bool) or isinstance(j, bool):
+                raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
             if i == j:
                 raise ParseError(f"loop at vertex {i} is not allowed")
             i, j = min(i, j), max(i, j)
@@ -198,9 +205,19 @@ def graph_from_text(text: str) -> SimplicialGraph:
 
 
 def _vanishes_fn(a: ExactMatrix):
-    """2x2 determinant vanishing test on raw entry values."""
+    """2x2 determinant vanishing test on raw entry values: x*w == y*z.
+    Over Q it cross-multiplies the entries' numerators and denominators,
+    which builds no Fraction."""
     if a.spec.kind is FieldKind.RATIONAL:
-        return lambda x, y, z, w: x * w == y * z
+
+        def vanishes(x, y, z, w):
+            p, q = x.as_integer_ratio()
+            r, s = w.as_integer_ratio()
+            t, u = y.as_integer_ratio()
+            v, o = z.as_integer_ratio()
+            return p * r * u * o == t * v * q * s
+
+        return vanishes
     p = a.spec.p
     return lambda x, y, z, w: (x * w - y * z) % p == 0
 
@@ -217,9 +234,29 @@ def null_connected(a: ExactMatrix, i: int, j: int, cyclic: bool = False) -> bool
 
 
 def _null_connected_raw(ri, rj, vanishes, cyclic: bool) -> bool:
-    for k in range(len(ri) - 1):
-        if not vanishes(ri[k], ri[k + 1], rj[k], rj[k + 1]):
+    """null_connected on two raw rows, from their entries alone.
+
+    A window whose two entries in ri are both zero has a vanishing minor,
+    so only the windows meeting ri's nonzero columns are tested: the first
+    window, where dense rows decide, then for each nonzero column the
+    windows ending and starting there, each once and in increasing order,
+    then the wrap window (n, 1) when cyclic.  A sparse row costs two or
+    three windows, not n-1.
+    """
+    last = len(ri) - 1  # 0-based windows (k, k+1) for k < last
+    if last > 0:
+        if not vanishes(ri[0], ri[1], rj[0], rj[1]):
             return False
+        k = 0  # the last window tested
+        for s in compress(range(last + 1), ri):
+            if s > k + 1:
+                k = s - 1
+                if not vanishes(ri[k], ri[s], rj[k], rj[s]):
+                    return False
+            if k < s < last:
+                k = s
+                if not vanishes(ri[s], ri[s + 1], rj[s], rj[s + 1]):
+                    return False
     if cyclic and not vanishes(ri[-1], ri[0], rj[-1], rj[0]):
         return False
     return True

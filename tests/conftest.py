@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,27 @@ def random_invertible(rng: random.Random, spec, n: int) -> ExactMatrix:
         a = random_matrix(rng, spec, n, n)
         if determinant(a):
             return a
+
+
+# nonzero rationals for the entries of sparse_invertible over Q
+NONZERO_Q = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))
+
+
+def sparse_invertible(rng: random.Random, spec, n: int) -> ExactMatrix:
+    """The rows and columns of an upper-triangular matrix with nonzero
+    diagonal and n/4 nonzeros above it, shuffled independently: a
+    permutation matrix with planted entries, invertible by construction."""
+
+    def nonzero():
+        return rng.choice(NONZERO_Q) if spec.p is None else rng.randrange(1, spec.p)
+
+    upper = [[0] * n for _ in range(n)]
+    for i in range(n):
+        upper[i][i] = nonzero()
+    for _ in range(n // 4):
+        i, j = sorted(rng.sample(range(n), 2))
+        upper[i][j] = nonzero()
+    rperm, cperm = list(range(n)), list(range(n))
+    rng.shuffle(rperm)
+    rng.shuffle(cperm)
+    return ExactMatrix(spec, [[upper[rperm[i]][cperm[j]] for j in range(n)] for i in range(n)])

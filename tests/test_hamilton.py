@@ -25,7 +25,7 @@ from tworow import (
     two_row_graph,
 )
 
-from .conftest import ALL_SPECS, random_invertible
+from .conftest import ALL_SPECS, random_invertible, sparse_invertible
 from .oracles import (
     all_graphs,
     brute_hamiltonian_cycle,
@@ -208,22 +208,6 @@ def test_invertible_always_traceable(spec):
             sigma_c = traceable_ordering(a, cyclic=True)
             assert sigma_c is not None
             assert is_cyclically_square_traceable(permute_rows(a, sigma_c))
-
-
-def sparse_invertible(rng, spec, n):
-    """The rows and columns of an upper-triangular matrix with nonzero
-    diagonal and n/4 nonzeros above it, shuffled independently: a
-    permutation matrix with planted entries, invertible by construction."""
-    upper = [[0] * n for _ in range(n)]
-    for i in range(n):
-        upper[i][i] = rng.randrange(1, spec.p)
-    for _ in range(n // 4):
-        i, j = sorted(rng.sample(range(n), 2))
-        upper[i][j] = rng.randrange(1, spec.p)
-    rperm, cperm = list(range(n)), list(range(n))
-    rng.shuffle(rperm)
-    rng.shuffle(cperm)
-    return ExactMatrix(spec, [[upper[rperm[i]][cperm[j]] for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("spec", [GF2, GF5])

@@ -29,6 +29,11 @@ def test_config_validation():
     # a bool is an int to Python, but no count
     with pytest.raises(SizeMismatch, match="trials must be >= 1, got True"):
         ExperimentConfig(3, 2, True, 0, ExperimentMode.COMPLETENESS)
+    # nor a seed: True would equal seed 1 yet draw other trials
+    with pytest.raises(ParseError, match="seed must be an integer, got True"):
+        ExperimentConfig(3, 2, 20, True, ExperimentMode.COMPLETENESS)
+    with pytest.raises(ParseError, match="seed must be an integer, got False"):
+        ExperimentConfig(n=3, q=2, trials=20, seed=False, mode=ExperimentMode.COMPLETENESS)
 
 
 def test_trial_rng_determinism_and_independence():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -22,9 +23,10 @@ from tworow import (
     opp_graph,
     permute_rows,
     RowPermutation,
+    traceable_ordering,
     two_row_graph,
 )
-from .conftest import ALL_SPECS, random_matrix
+from .conftest import ALL_SPECS, NONZERO_Q, random_matrix, sparse_invertible
 from .oracles import brute_graph_edges, brute_null_connected
 
 
@@ -167,6 +169,74 @@ def test_traceable_matches_graph_adjacency():
             assert is_cyclically_square_traceable(a) == expected_c
 
 
+def row_check_matrices(rng, spec):
+    """Square matrices for the raw-entry row checks at n = 2, 3, 4, 5 and
+    9: identity, permutation, banded, sparse_invertible and dense random
+    (over Q with negative, fractional and zero entries), then rows nonzero
+    only in column 1, 2, n-1 or n, in columns 1 and n, zero rows, random
+    rows and multiples of earlier rows, mixed."""
+
+    def nonzero():
+        return rng.choice(NONZERO_Q) if spec.p is None else rng.randrange(1, spec.p)
+
+    def matrix(n, cell):
+        return ExactMatrix(spec, [[cell(r, c) for c in range(n)] for r in range(n)])
+
+    for n in (2, 3, 4, 5, 9):
+        perm = rng.sample(range(n), n)
+        width = rng.randint(1, 2)
+        yield ExactMatrix.identity(spec, n)
+        yield matrix(n, lambda r, c: nonzero() if c == perm[r] else 0)
+        yield matrix(n, lambda r, c: nonzero() if abs(r - c) <= width else 0)
+        yield sparse_invertible(rng, spec, n)
+        yield matrix(n, lambda r, c: nonzero() if rng.random() < 0.8 else 0)
+        yield matrix(n, lambda r, c: nonzero() if rng.random() < 0.4 else 0)
+        shapes = [{0}, {1}, {n - 2}, {n - 1}, {0, n - 1}, set()]
+        for _ in range(4):
+            rows = []
+            for _ in range(n):
+                pick = rng.randrange(len(shapes) + 2)
+                if pick < len(shapes):
+                    rows.append([nonzero() if c in shapes[pick] else 0 for c in range(n)])
+                elif pick == len(shapes) and rows:
+                    scale = nonzero()
+                    rows.append([v * scale for v in rng.choice(rows)])
+                else:
+                    rows.append([nonzero() if rng.random() < 0.5 else 0 for _ in range(n)])
+            yield ExactMatrix(spec, rows)
+
+
+def brute_traceable(a, cyclic):
+    n = a.n
+    pairs = [(k, k % n + 1) for k in range(1, n + 1)] if cyclic else [
+        (k, k + 1) for k in range(1, n)]
+    return all(not brute_null_connected(a, i, j, cyclic) for i, j in pairs)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_row_checks_match_brute_force(spec):
+    # null_connected tests only the windows meeting the first row's support;
+    # every ordered row pair, plain and cyclic, against every window
+    rng = random.Random(53)
+    for a in row_check_matrices(rng, spec):
+        n = a.n
+        for cyclic in (False, True):
+            for i, j in itertools.permutations(range(1, n + 1), 2):
+                want = brute_null_connected(a, i, j, cyclic)
+                assert null_connected(a, i, j, cyclic) == want, (a, i, j, cyclic)
+        orders = list(itertools.permutations(range(1, n + 1)))
+        if n > 4:
+            orders = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(24)]
+        for cyclic in (False, True) if n >= 3 else (False,):
+            sigma = traceable_ordering(a, cyclic)
+            if sigma is not None:
+                orders.append(sigma.image)
+            check = is_cyclically_square_traceable if cyclic else is_square_traceable
+            for order in orders:
+                b = permute_rows(a, RowPermutation(order))
+                assert check(b) == brute_traceable(b, cyclic), (b, cyclic)
+
+
 def test_row_graph_helpers():
     g = SimplicialGraph.of(4, [(2, 1), (3, 4)])
     assert g.sorted_edges == [(1, 2), (3, 4)]
@@ -215,6 +285,11 @@ def test_row_graph_validation():
         SimplicialGraph.of(True, [])
     with pytest.raises(ParseError, match="at least one vertex, got True"):
         SimplicialGraph(True, (0,))
+    # nor an endpoint, as from_json_dict rejects [true, 2]
+    with pytest.raises(ParseError, match=r"bad edge \(True,2\) for 3 vertices"):
+        SimplicialGraph.of(3, [(True, 2)])
+    with pytest.raises(ParseError, match=r"bad edge \(1,False\) for 3 vertices"):
+        SimplicialGraph.of(3, [(1, 2), (1, False)])
     # the symmetry check reads only set bits: O(n + E) on the largest path
     path = SimplicialGraph.of(4096, [(i, i + 1) for i in range(1, 4096)])
     t0 = time.perf_counter()

@@ -272,6 +272,35 @@ def test_only_matrices_and_rowgraph_name_the_memo():
     assert _named_outside("_memo", {"matrices.py", "rowgraph.py"}) == []
 
 
+# the raw-entry row checks behind the traceability postcondition, and the
+# kernel and memo names they must not use
+RAW_ROW_CHECKS = {"_null_connected_raw", "_vanishes_fn", "null_connected",
+                  "is_square_traceable", "is_cyclically_square_traceable"}
+KERNEL_NAMES = {"_memo", "_scan_masks", "null_masks", "row_null_masks",
+                "_int_rows", "_projective_classes"}
+
+
+def test_row_checks_read_raw_entries_only():
+    # traceable_ordering checks its witness on raw entries, so that a fault
+    # in the mask kernel or in the memo cannot pass its own check; the rule
+    # covers the rowgraph functions the checks name, transitively
+    tree = ast.parse((SRC / "rowgraph.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert RAW_ROW_CHECKS <= set(functions)
+    todo, seen, found = sorted(RAW_ROW_CHECKS), set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "value", None)}
+            found += [f"{name}:{node.lineno} {bad}" for bad in names & KERNEL_NAMES]
+            todo += [other for other in names if other in functions]
+    assert sorted(found) == []
+
+
 def test_only_blocks_names_a_track_plan():
     # a track's plan is derived from the track alone, in one module, so no
     # other caller can hand it one that does not fit

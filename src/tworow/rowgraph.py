@@ -101,7 +101,8 @@ class SimplicialGraph(Value):
                 raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
             if i == j:
                 raise ParseError(f"loop at vertex {i} is not allowed")
-            i, j = min(i, j), max(i, j)
+            if i > j:
+                i, j = j, i
             if i < 1 or j > n:
                 raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
             adj[i - 1] |= 1 << (j - 1)

@@ -212,11 +212,11 @@ def _vanishes_fn(a: ExactMatrix):
     if a.spec.kind is FieldKind.RATIONAL:
 
         def vanishes(x, y, z, w):
-            p, q = x.as_integer_ratio()
-            r, s = w.as_integer_ratio()
-            t, u = y.as_integer_ratio()
-            v, o = z.as_integer_ratio()
-            return p * r * u * o == t * v * q * s
+            xn, xd = x.as_integer_ratio()
+            yn, yd = y.as_integer_ratio()
+            zn, zd = z.as_integer_ratio()
+            wn, wd = w.as_integer_ratio()
+            return xn * wn * yd * zd == yn * zn * xd * wd
 
         return vanishes
     p = a.spec.p

@@ -593,6 +593,92 @@ def test_complete_tracks_match_string_oracle():
             assert complete_tracks(a, cyclic) == list(first_seen), a.to_json_dict()
 
 
+def M(spec, rows):
+    return ExactMatrix(spec, rows)
+
+
+def T(cyclic, *members):
+    """The track of members given as (rows, col_start, col_len)."""
+    return OneTrack(tuple(TrackMember(*m) for m in members), cyclic)
+
+
+def singles(cyclic, *rows):
+    """The track of 1x1 members taking row rows[c] in column c + 1."""
+    return T(cyclic, *(((r,), c, 1) for c, r in enumerate(rows, 1)))
+
+
+# (matrix, plain tracks, cyclic tracks) at the edges of the column walk
+EDGE_CASES = [
+    # n = 1: one nonzero cell is one track, a zero one gives none
+    (M(GF3, [[2]]), [singles(False, 1)], [singles(True, 1)]),
+    (M(QQ, [[0]]), [], []),
+    # n = 2: two singletons each way, and one block holding both columns,
+    # whose cyclic wrap pair lies inside it all the way round
+    (M(GF2, [[1, 1], [1, 0]]), [singles(False, 2, 1)], [singles(True, 2, 1)]),
+    (M(FieldSpec.gf(5), [[1, 2], [2, 1]]),
+     [singles(False, 1, 2), singles(False, 2, 1)],
+     [singles(True, 1, 2), singles(True, 2, 1)]),
+    (M(QQ, [[1, 2], [3, 6]]), [T(False, ((1, 2), 1, 2))], [T(True, ((1, 2), 1, 2))]),
+    # a cyclic block on columns 3, 1: the wrap pair is met at its string
+    # with the head row (column 1) below the tail row (column 3) only
+    (M(GF3, [[1, 0, 1], [2, 0, 2], [0, 1, 0]]),
+     [singles(False, 1, 3, 2), singles(False, 2, 3, 1)],
+     [T(True, ((3,), 2, 1), ((1, 2), 3, 2))]),
+    # a zero last column: no string at all
+    (M(GF3, [[1, 1, 0], [1, 2, 0], [2, 1, 0]]), [], []),
+    # a last column with one nonzero, row 2
+    (M(GF2, [[1, 1, 0], [0, 0, 1], [1, 0, 0]]),
+     [singles(False, 3, 1, 2)], [singles(True, 3, 1, 2)]),
+    # the same, where four of the six prefixes leave a row that is zero in
+    # the last column
+    (M(QQ, [[1, 2, 0], [3, 1, 1], [1, 5, 0]]),
+     [singles(False, 1, 3, 2), singles(False, 3, 1, 2)],
+     [singles(True, 1, 3, 2), singles(True, 3, 1, 2)]),
+    # column 3's only nonzero row is row 1, which column 1 always takes
+    (M(QQ, [[1, 1, 1], [0, 1, 0], [0, 1, 0]]), [], []),
+    # column 2's only nonzero row, row 2, is used when column 1 takes it
+    (M(GF3, [[1, 0, 1], [1, 1, 0], [0, 0, 1]]),
+     [singles(False, 1, 2, 3)], [singles(True, 1, 2, 3)]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(EDGE_CASES)))
+def test_complete_tracks_edge_cases(case):
+    a, plain, cyclic_tracks = EDGE_CASES[case]
+    strings = nonzero_strings(a)
+    for cyclic, expected in ((False, plain), (True, cyclic_tracks)):
+        tracks = complete_tracks(a, cyclic)
+        assert tracks == expected
+        # the same list as grouping every nonzero string by its track
+        first_seen = {}
+        for image in strings:
+            first_seen.setdefault(track_of_string(a, RowPermutation(image), cyclic))
+        assert tracks == list(first_seen)
+        total = a.spec.zero
+        for t in tracks:
+            total = total + track_sum(a, t)
+        assert total == determinant(a) == det_by_tracks(a, cyclic)
+
+
+@pytest.mark.parametrize("spec", [GF3, QQ])
+def test_complete_tracks_8x8_all_nonzero(spec):
+    # every cell nonzero and no two rows null-connected: all 8! strings are
+    # narrow tracks of their own, at the default bound, plain and cyclic
+    a = ExactMatrix(spec, [[1 + (i == j) for j in range(8)] for i in range(8)])
+    assert not find_one_blocks(a) and not find_one_blocks(a, True)
+    for cyclic in (False, True):
+        tracks = complete_tracks(a, cyclic)
+        assert len(tracks) == 40320
+        assert (sum(not t.has_minor for t in tracks), sum(t.has_minor for t in tracks)) == (40320, 0)
+        assert tracks[0] == singles(cyclic, *range(1, 9))
+        assert tracks[-1] == singles(cyclic, *range(8, 0, -1))
+        total = a.spec.zero
+        for t in tracks:
+            total = total + track_sum(a, t)
+        # det(I + J) = 1 + 8: 0 over GF(3), 9 over Q
+        assert total == determinant(a) == spec.scalar(9)
+
+
 def track_pin_matrices():
     """Every binary 3x3 matrix, every 7th binary 4x4 one, and 300 seeded
     random and planted-block matrices up to 7x7 over GF(2), GF(3), GF(7)
@@ -638,6 +724,21 @@ def test_track_sums_pinned():
     assert digest.hexdigest() == (
         "ccb7079420ca705a3a5e5048b84bb49b873491346447c2f2e2552cae94de821b"
     )
+
+
+def test_track_sums_are_canonical():
+    # a track sum is the Scalar its field would make of its value: a residue
+    # in [0, p) over GF(p), a reduced Fraction over Q
+    for a in track_pin_matrices():
+        p = a.spec.characteristic
+        for cyclic in (False, True):
+            for t in complete_tracks(a, cyclic):
+                s = track_sum(a, t)
+                assert s.spec is a.spec and s == s.spec.scalar(s.value)
+                if p:
+                    assert type(s.value) is int and 0 <= s.value < p
+                else:
+                    assert type(s.value) is Fraction
 
 
 def test_track_plan_belongs_to_the_track():

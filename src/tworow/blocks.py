@@ -25,11 +25,15 @@ wide strings apart, returns the first and checks that the second is zero.
 A track sum is a generalized Laplace product: the sign of one string of the
 track times its member minors; it is the one sum of a track.  All it needs
 of the track, its plan, depends on the track alone; the track list hands each
-narrow track out with its plan, so its sum only multiplies entries.  Only
-the track list walks strings, with no products, meeting each track once at
-its smallest string; a narrow string is a track of its own, and only wide
-ones are canonicalized.  The DP and the walk place row r with one sign
-flip per used row of larger index.
+narrow track out with its plan, so its sum only multiplies entries, and its
+value, reduced already, becomes a Scalar through the trusted Scalar._of.
+Only the track list walks strings, with no products.  Like the DP it goes
+column by column, but it keeps every prefix, one list of them per column in
+lexicographic order, where the DP merges prefixes on their used rows; it
+meets each track once at its smallest string, closes the last column in its
+final loop, hands a narrow string out as a track of its own and
+canonicalizes only wide ones.  The DP and the walk place row r with one
+sign flip per used row of larger index.
 """
 
 from __future__ import annotations
@@ -391,7 +395,7 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     value = sign * math.prod(map(getitem, map(ints.__getitem__, rows), cols))
     for mrows, mcols in minors:
         value *= _eliminate([[ints[r][c] for c in mcols] for r in mrows], p)[1]
-    return a.spec.scalar(value % p if p else Fraction(value, scale))
+    return Scalar._of(a.spec, value % p if p else Fraction(value, scale))
 
 
 def complete_tracks(
@@ -403,77 +407,79 @@ def complete_tracks(
     A track's strings permute each member's rows over its columns, so the
     smallest has each member's rows ascending and, for a cyclic member
     wrapping past column n, its head rows (columns 1..j) below its tail rows
-    (columns k..n).  The walk, depth first and smallest row first, never
-    places a row below the previous one in the same block, which cuts the
-    whole subtree, and keeps a leaf whose wrap pair shares a block only if
-    its last head row is below its first tail row or the run covers every
-    column.  stack[c] holds the nonzero rows column c has yet to try, rows[c],
-    cells[c] and picked[c] the 0-based row, the block (or -1) and the 1x1
-    member of the cell taken there, wides[c] says two consecutive of the
-    first c cells share a block, and odds[c] is the parity of their
-    inversions.  A narrow string (no two consecutive cells, closed when
-    cyclic, in one block) is a track of its own, all 1x1 members, and leaves
-    with its plan; only wide strings go through _canonical_track, and
-    their track_sum derives their plan."""
+    (columns k..n).  The walk goes column by column, keeping one list of
+    prefix states (used, rows, last, wide, odd): the used rows as a bitmask,
+    the 0-based rows taken so far, the block (or -1) of the last cell,
+    whether two consecutive cells share a block, and the parity of the
+    inversions.  Each state, in order, is extended by the free nonzero rows
+    of the next column, smallest first, so every list is in lexicographic
+    order; a row below the previous one in the same block is never placed,
+    which cuts every string under it.  The last column has one row left, so
+    the final loop closes each state in place, and keeps a string whose wrap
+    pair shares a block only if its last head row is below its first tail
+    row or the run covers every column.  A narrow string (no two
+    consecutive cells, closed when cyclic, in one block) is a track of its
+    own, all 1x1 members, and leaves with its plan; only wide strings go
+    through _canonical_track, and their track_sum derives their plan."""
     _check_enumerable(a, max_size)
     n = a.n
     owner = _one_blocks(a, cyclic)[1]
-    raw = a.raw()
-    # single[r][c]: the 1x1 member on the nonzero cell (r+1, c+1)
-    single = [
-        [TrackMember((r + 1,), c + 1, 1) if v else None for c, v in enumerate(row)]
-        for r, row in enumerate(raw)
-    ]
-    nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in zip(*raw)]
+    columns = tuple(zip(*a.raw()))
+    blocks_by_column = tuple(zip(*owner))
+    # single_by_column[c][r]: the 1x1 member on the nonzero cell (r+1, c+1),
+    # made at the first narrow string
+    single_by_column = None
+    nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in columns]
+    states = [(0, (), -1, False, 0)]
+    for c in range(n - 1):
+        col_blocks = blocks_by_column[c]
+        col_nonzero = nonzero[c]
+        extended = []
+        push = extended.append
+        for used, rows, last, wide, odd in states:
+            free = col_nonzero & ~used
+            while free:
+                bit = free & -free
+                free ^= bit
+                r = bit.bit_length() - 1
+                b = col_blocks[r]
+                if b != last or b < 0:
+                    push((used | bit, rows + (r,), b, wide, odd ^ (used >> r).bit_count() & 1))
+                elif r > rows[-1]:
+                    push((used | bit, rows + (r,), b, True, odd ^ (used >> r).bit_count() & 1))
+        states = extended
+    col_blocks = blocks_by_column[-1]
+    col_nonzero = nonzero[-1]
+    full = (1 << n) - 1
     cols = tuple(range(n))
-    rows: list[int] = []
-    cells: list[int] = []
-    picked: list[TrackMember] = []
-    wides = [False]
-    odds = [0]
-    used = 0
-    stack = [nonzero[0]]
     out = []
-    while stack:
-        free = stack[-1] & ~used
-        if not free:
-            stack.pop()
-            if rows:
-                used ^= 1 << rows.pop()
-                cells.pop()
-                picked.pop()
-                wides.pop()
-                odds.pop()
+    for used, rows, last, wide, odd in states:
+        r = (full ^ used).bit_length() - 1
+        if not col_nonzero >> r & 1:
             continue
-        bit = free & -free
-        stack[-1] = free ^ bit
-        r = bit.bit_length() - 1
-        c = len(rows)
-        b = owner[r][c]
-        same = b >= 0 and c > 0 and cells[-1] == b
+        b = col_blocks[r]
+        same = b == last >= 0
         if same and r < rows[-1]:
             continue
-        rows.append(r)
-        cells.append(b)
-        odd = odds[-1] ^ (used >> r).bit_count() & 1
-        if c + 1 < n:
-            picked.append(single[r][c])
-            wides.append(wides[-1] or same)
-            odds.append(odd)
-            used |= bit
-            stack.append(nonzero[c + 1])
-            continue
-        wrap = cyclic and cells[0] == b >= 0
-        if not (wrap or same or wides[-1]):
-            plan = (n, tuple(rows), cols, (), -1 if odd else 1)
-            out.append(_planned_track((*picked, single[r][c]), cyclic, plan))
+        rows += (r,)
+        wrap = cyclic and b >= 0 and owner[rows[0]][0] == b
+        if not (wrap or same or wide):
+            # the rows of larger index than r are all used: n - 1 - r of them
+            plan = (n, rows, cols, (), -1 if odd ^ (n - 1 - r) & 1 else 1)
+            if single_by_column is None:
+                make = TrackMember._make
+                single_by_column = [
+                    [make((r + 1,), c, 1) if v else None for r, v in enumerate(col)]
+                    for c, col in enumerate(columns, 1)
+                ]
+            members = tuple(map(getitem, single_by_column, rows))
+            out.append(_planned_track(members, cyclic, plan))
         else:
+            cells = [owner[r][c] for c, r in enumerate(rows)]
             # wrap pair in block b: head ends before other[0], tail starts after other[-1]
             other = [t for t, e in enumerate(cells) if e != b] if wrap else []
             if not other or rows[other[0] - 1] < rows[other[-1] + 1]:
                 out.append(_canonical_track(cells, [r + 1 for r in rows], cyclic, n))
-        rows.pop()
-        cells.pop()
     return out
 
 

@@ -162,6 +162,15 @@ class Scalar:
         self.spec = spec
         self.value = spec.canonical(value)
 
+    @staticmethod
+    def _of(spec: FieldSpec, value) -> "Scalar":
+        """The scalar of a value already canonical in spec, unchecked: a
+        residue in [0, p) over GF(p), a reduced Fraction over Q."""
+        s = object.__new__(Scalar)
+        s.spec = spec
+        s.value = value
+        return s
+
     def _check(self, other: "Scalar") -> None:
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")

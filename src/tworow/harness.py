@@ -36,8 +36,8 @@ class ExperimentConfig(Value):
     ) -> None:
         if isinstance(trials, bool) or trials < 1:
             raise SizeMismatch(f"trials must be >= 1, got {trials}")
-        if isinstance(seed, bool):
-            raise ParseError(f"seed must be an integer, got {seed}")
+        if type(seed) is not int:  # bool and float seeds equal int ones but draw other trials
+            raise ParseError(f"seed must be an integer, got {seed!r}")
         if not is_prime(q):
             raise ParseError(f"field order must be prime, got {q}")
         if n < 2:

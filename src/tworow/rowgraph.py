@@ -69,8 +69,8 @@ class SimplicialGraph(Value):
 
     def __init__(self, n: int, adj: tuple[int, ...]) -> None:
         adj = tuple(adj)  # a list would not hash
-        if isinstance(n, bool) or n < 1:
-            raise ParseError(f"graph needs at least one vertex, got {n}")
+        if type(n) is not int or n < 1:
+            raise ParseError(f"graph needs at least one vertex, got {n!r}")
         if len(adj) != n:
             raise ParseError(f"{len(adj)} adjacency masks for {n} vertices")
         # the transpose, from the set bits of each mask's low n bits: bit j
@@ -91,22 +91,28 @@ class SimplicialGraph(Value):
 
     @staticmethod
     def of(n: int, pairs) -> "SimplicialGraph":
-        if isinstance(n, bool) or n < 1:
-            raise ParseError(f"graph needs at least one vertex, got {n}")
+        if type(n) is not int or n < 1:
+            raise ParseError(f"graph needs at least one vertex, got {n!r}")
         if n > MAX_VERTICES:
             raise SizeBound(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
         adj = [0] * n
         for i, j in pairs:
-            if isinstance(i, bool) or isinstance(j, bool):
-                raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
-            if i == j:
-                raise ParseError(f"loop at vertex {i} is not allowed")
-            if i > j:
-                i, j = j, i
-            if i < 1 or j > n:
-                raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
-            adj[i - 1] |= 1 << (j - 1)
-            adj[j - 1] |= 1 << (i - 1)
+            # a bool passes every step below and any other non-int endpoint
+            # raises TypeError in one; from CPython 3.11 the try costs
+            # nothing until it catches
+            try:
+                if isinstance(i, bool) or isinstance(j, bool):
+                    raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
+                if i == j:
+                    raise ParseError(f"loop at vertex {i} is not allowed")
+                if i > j:
+                    i, j = j, i
+                if i < 1 or j > n:
+                    raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
+                adj[i - 1] |= 1 << (j - 1)
+                adj[j - 1] |= 1 << (i - 1)
+            except TypeError:
+                raise ParseError(f"bad edge ({i!r},{j!r}) for {n} vertices") from None
         return SimplicialGraph._make(n, tuple(adj))
 
     @cached_property

@@ -34,6 +34,13 @@ def test_config_validation():
         ExperimentConfig(3, 2, 20, True, ExperimentMode.COMPLETENESS)
     with pytest.raises(ParseError, match="seed must be an integer, got False"):
         ExperimentConfig(n=3, q=2, trials=20, seed=False, mode=ExperimentMode.COMPLETENESS)
+    # nor anything else but an int: 1.0 would equal seed 1 yet draw other trials
+    with pytest.raises(ParseError, match=r"seed must be an integer, got 1\.0"):
+        ExperimentConfig(3, 2, 20, 1.0, ExperimentMode.COMPLETENESS)
+    with pytest.raises(ParseError, match="seed must be an integer, got '1'"):
+        ExperimentConfig(3, 2, 20, "1", ExperimentMode.COMPLETENESS)
+    with pytest.raises(ParseError, match="seed must be an integer, got None"):
+        ExperimentConfig(3, 2, 20, None, ExperimentMode.COMPLETENESS)
 
 
 def test_trial_rng_determinism_and_independence():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -290,6 +291,16 @@ def test_row_graph_validation():
         SimplicialGraph.of(3, [(True, 2)])
     with pytest.raises(ParseError, match=r"bad edge \(1,False\) for 3 vertices"):
         SimplicialGraph.of(3, [(1, 2), (1, False)])
+    # any other non-integer is no endpoint or vertex count either
+    for pairs, shown in [([(1.0, 2)], "1.0,2"), ([(1, 2.0)], "1,2.0"), ([("1", 2)], "'1',2"),
+                         ([(1, 2), (2, 3), (None, 1)], "None,1"), ([(3, Fraction(1))], "Fraction(1, 1),3")]:
+        with pytest.raises(ParseError, match=rf"bad edge \({re.escape(shown)}\) for 3 vertices"):
+            SimplicialGraph.of(3, pairs)
+    for n in (2.5, 2.0, "2", None):
+        with pytest.raises(ParseError, match="at least one vertex, got " + re.escape(repr(n))):
+            SimplicialGraph.of(n, [(1, 2)])
+        with pytest.raises(ParseError, match="at least one vertex, got " + re.escape(repr(n))):
+            SimplicialGraph(n, (0b10, 0b01))
     # the symmetry check reads only set bits: O(n + E) on the largest path
     path = SimplicialGraph.of(4096, [(i, i + 1) for i in range(1, 4096)])
     t0 = time.perf_counter()

@@ -307,6 +307,13 @@ def test_only_blocks_names_a_track_plan():
     assert _named_outside("_plan", {"blocks.py"}) == []
 
 
+def test_only_fields_and_blocks_trust_a_scalar_value():
+    # Scalar._of takes its value as already canonical, unchecked; only
+    # track_sum hands it one, so no other caller can make a Scalar that
+    # compares unequal to its own canonical form
+    assert _named_outside("_of", {"fields.py", "blocks.py"}) == []
+
+
 def test_value_classes_state_their_fields_once():
     # a value class names its fields in __slots__ alone: Value derives the
     # field tuple, the slot setters, equality, hashing, repr and pickling

@@ -453,7 +453,10 @@ def complete_tracks(
     full = (1 << n) - 1
     cols = tuple(range(n))
     out = []
-    for used, rows, last, wide, odd in states:
+    # popped in order, so that each state is freed as its track is made
+    states.reverse()
+    while states:
+        used, rows, last, wide, odd = states.pop()
         r = (full ^ used).bit_length() - 1
         if not col_nonzero >> r & 1:
             continue

@@ -445,7 +445,7 @@ def complete_tracks(
                 b = col_blocks[r]
                 if b != last or b < 0:
                     push((used | bit, rows + (r,), b, wide, odd ^ (used >> r).bit_count() & 1))
-                elif r > rows[-1]:
+                elif r > rows[-1]:  # in the last cell's block, rows ascend
                     push((used | bit, rows + (r,), b, True, odd ^ (used >> r).bit_count() & 1))
         states = extended
     col_blocks = blocks_by_column[-1]

@@ -292,8 +292,13 @@ def test_row_graph_validation():
     with pytest.raises(ParseError, match=r"bad edge \(1,False\) for 3 vertices"):
         SimplicialGraph.of(3, [(1, 2), (1, False)])
     # any other non-integer is no endpoint or vertex count either
-    for pairs, shown in [([(1.0, 2)], "1.0,2"), ([(1, 2.0)], "1,2.0"), ([("1", 2)], "'1',2"),
-                         ([(1, 2), (2, 3), (None, 1)], "None,1"), ([(3, Fraction(1))], "Fraction(1, 1),3")]:
+    for pairs, shown in [
+        ([(1.0, 2)], "1.0,2"),
+        ([(1, 2.0)], "1,2.0"),
+        ([("1", 2)], "'1',2"),
+        ([(1, 2), (2, 3), (None, 1)], "None,1"),
+        ([(3, Fraction(1))], "Fraction(1, 1),3"),
+    ]:
         with pytest.raises(ParseError, match=rf"bad edge \({re.escape(shown)}\) for 3 vertices"):
             SimplicialGraph.of(3, pairs)
     for n in (2.5, 2.0, "2", None):

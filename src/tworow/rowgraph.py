@@ -97,9 +97,9 @@ class SimplicialGraph(Value):
             raise SizeBound(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
         adj = [0] * n
         for i, j in pairs:
-            # a bool passes every step below and any other non-int endpoint
-            # raises TypeError in one; from CPython 3.11 the try costs
-            # nothing until it catches
+            # a bool passes every step below, and any other endpoint that is
+            # no integer raises TypeError in one; from CPython 3.11 the try
+            # costs nothing until it catches
             try:
                 if isinstance(i, bool) or isinstance(j, bool):
                     raise ParseError(f"bad edge ({i},{j}) for {n} vertices")

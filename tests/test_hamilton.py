@@ -16,6 +16,7 @@ from tworow import (
     SimplicialGraph,
     RowPermutation,
     SizeBound,
+    graph_hamiltonicity,
     hamiltonian_cycle,
     hamiltonian_path,
     is_cyclically_square_traceable,
@@ -24,6 +25,7 @@ from tworow import (
     traceable_ordering,
     two_row_graph,
 )
+from tworow.hamilton import MEMO_LIMIT
 
 from .conftest import ALL_SPECS, random_invertible, sparse_invertible
 from .oracles import (
@@ -246,6 +248,32 @@ def test_sparse_witnesses_pinned():
     matrices = [sparse_invertible(rng, (GF2, GF5)[k % 2], 64) for k in range(6)]
     assert witness_digest(matrices) == (
         "268d0e2013fdcc728cfd559a8b3038ce39c8d227aec64dc77752d444fc3313df"
+    )
+
+
+def complete_bipartite(a, b):
+    return SimplicialGraph.of(
+        a + b, [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)]
+    )
+
+
+def test_graph_witnesses_pinned():
+    # random graphs above MEMO_LIMIT, where the search backtracks with its
+    # dead-state memo off, and K_{a,a+2}, which has no path and no cycle
+    # and so makes the search exhaust every pruned state
+    rng = random.Random(22)
+    graphs = [
+        random_graph(rng, rng.randint(21, 26), rng.uniform(0.1, 0.4)) for _ in range(40)
+    ]
+    assert min(g.n for g in graphs) > MEMO_LIMIT
+    graphs += [complete_bipartite(a, a + 2) for a in range(2, 6)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for cyclic in (False, True):
+            w = graph_hamiltonicity(g, cyclic)
+            digest.update(repr(w and w.order).encode())
+    assert digest.hexdigest() == (
+        "6820478da31937764564e4b593f68965cbe13d3f39400facb34c90dae3da0765"
     )
 
 

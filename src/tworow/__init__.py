@@ -15,10 +15,10 @@ __version__ = "0.1.0"
 # home module of each public name
 _EXPORTS = {
     "errors": (
-        "AssertionFailure", "DegenerateGraph", "DegenerateMatrix", "DimensionMismatch",
-        "DivisionByZero", "FieldMismatch", "IncompleteTrack", "IndexOutOfRange",
-        "NotSquare", "ParseError", "SingularBasis", "SizeBound", "SizeMismatch",
-        "TwoRowError", "ZeroEntryInString",
+        "AssertionFailure", "DegenerateMatrix", "DimensionMismatch", "DivisionByZero",
+        "FieldMismatch", "IncompleteTrack", "IndexOutOfRange", "NotSquare",
+        "ParseError", "SingularBasis", "SizeBound", "SizeMismatch", "TwoRowError",
+        "ZeroEntryInString",
     ),
     "fields": (
         "FieldKind", "FieldSpec", "GF2", "GF3", "GF5", "QQ", "Scalar", "parse_field",
@@ -31,10 +31,7 @@ _EXPORTS = {
         "SimplicialGraph", "graph_from_text", "is_cyclically_square_traceable",
         "is_square_traceable", "null_connected", "opp_graph", "two_row_graph",
     ),
-    "hamilton": (
-        "PathWitness", "graph_hamiltonicity", "hamiltonian_cycle", "hamiltonian_path",
-        "traceable_ordering",
-    ),
+    "hamilton": ("PathWitness", "graph_hamiltonicity", "traceable_ordering"),
     "blocks": (
         "BlockPartition", "OneBlock", "OneTrack", "TrackMember", "TrackString",
         "block_partition", "complete_tracks", "det_by_tracks", "find_one_blocks",

@@ -30,10 +30,6 @@ class DegenerateMatrix(TwoRowError):
     """The matrix is too small for the requested construction."""
 
 
-class DegenerateGraph(TwoRowError):
-    """The graph is too small for the requested construction."""
-
-
 class SizeBound(TwoRowError):
     """Input exceeds the configured enumeration bound."""
 

@@ -1,26 +1,30 @@
 """Exact Hamiltonian path/cycle search on small graphs and row-ordering
 decisions for square matrices.
 
-One iterative depth-first search on an explicit stack serves paths (start
-vertices tried in order) and cycles (anchored at vertex 1).  It extends the
-path by the smallest unvisited neighbour first, so the first witness found
-is the lexicographically smallest one, which golden tests rely on.  Pruning
-is lazy: once the search has met its first dead end, each new state
-(visited bitmask, last vertex) must pass a bit-mask test (every unvisited
-vertex reachable from the last one, and few enough forced path ends) before
-it is entered.  A greedy run to the end pays nothing for it, and the test
-is incremental along the path, so a forced move costs no search.  The test
-only cuts states with no completion, so it never changes the witness.  Up to
-MEMO_LIMIT vertices a dead-state memo on (visited bitmask, last vertex)
-also skips states already known to fail, shared by all start vertices of a
-path search.  No recursion is involved, so any graph size is safe from the
-interpreter's recursion limit.  The search reads a SimplicialGraph's
-adjacency masks as they are stored.
+One iterative depth-first search on an explicit stack, _search, serves
+paths (start vertices tried in order) and cycles (anchored at vertex 1).
+It extends the path by the smallest unvisited neighbour first, so the first
+witness found is the lexicographically smallest one, which golden tests rely
+on.  Pruning is lazy: once the search has met its first dead end, each new
+state (visited bitmask, last vertex) must pass one bit-mask test before it
+is entered.  Every free (unvisited) vertex must be reachable from the last
+vertex through free vertices.  A free vertex with fewer than two neighbours
+among the free vertices, the last vertex and, for a cycle, the start can
+only end the path; a path allows one such end and a cycle none, and a
+cycle's start must keep a free neighbour.  A greedy run to the end pays
+nothing for the test, and each tested state's ends carry over to its
+children, so a forced move costs no search.  The test only cuts states with
+no completion, so it never changes the witness.  Up to MEMO_LIMIT vertices
+a dead-state memo on (visited bitmask, last vertex) also skips states
+already known to fail, shared by all start vertices of a path search.  No
+recursion is involved, so any graph size is safe from the interpreter's
+recursion limit.  The search reads a SimplicialGraph's adjacency masks as
+they are stored.
 """
 
 from __future__ import annotations
 
-from .errors import AssertionFailure, DegenerateGraph, NotSquare, Value
+from .errors import AssertionFailure, NotSquare, Value
 from .matrices import ExactMatrix, RowPermutation, _rank_det, permute_rows
 from .rowgraph import (
     SimplicialGraph,
@@ -66,14 +70,14 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
     Whether a state can be completed to a path does not depend on where the
     path started, so all starts share one memo.
 
-    The test is the one _probe describes.  A state on the path that passed
-    it keeps its ends (the free vertices that can only end the path); the
-    children of an untested state, entered before pruning switched on,
-    take _probe in full.  A child of a tested state takes the parent's
-    last vertex out of the pool, so only that vertex's free neighbours can
-    become ends.  If the parent's last vertex had no other free neighbour,
-    every path from it through the free vertices ran through the child, so
-    the parent's reachability carries over; otherwise _reaches searches.
+    A state on the path that passed the test keeps its ends.  A child of
+    such a state takes the parent's last vertex out of the pool, so only
+    that vertex's free neighbours can become ends; if the parent's last
+    vertex had no other free neighbour, every path from it through the free
+    vertices ran through the child, so the parent's reachability carries
+    over, and otherwise _reaches searches.  A child of an untested state,
+    entered before pruning switched on, runs the same loop from no ends
+    over every free vertex, and _reaches always searches.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -132,25 +136,27 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
                 last = order[-1]
                 found = ends[last]
                 if found < 0:
-                    found = _probe(adj, rest, nxt, start, closed)
+                    # an untested parent: any free vertex may be an end
+                    found, others = 0, rest
                 else:
                     # the parent's last vertex leaves the pool.  The parent's
                     # ends hold nxt only when the child fails anyway (an end
                     # next to the last vertex has no free neighbour), so nxt
                     # need not be taken out of them
-                    pool = rest | bit | home
-                    left = others = adj[last] & rest
-                    while left:
-                        low = left & -left
-                        left ^= low
-                        if (adj[low.bit_length() - 1] & pool).bit_count() < 2:
-                            found |= low
-                    if (
-                        found.bit_count() > allowed
-                        or closed and not adj[start] & rest
-                        or others and not _reaches(adj, rest, nxt)
-                    ):
-                        found = -1
+                    others = adj[last] & rest
+                pool = rest | bit | home
+                left = others
+                while left:
+                    low = left & -left
+                    left ^= low
+                    if (adj[low.bit_length() - 1] & pool).bit_count() < 2:
+                        found |= low
+                if (
+                    found.bit_count() > allowed
+                    or closed and not adj[start] & rest
+                    or others and not _reaches(adj, rest, nxt)
+                ):
+                    found = -1
                 if found >= 0:
                     order.append(nxt)
                     stack.append(adj[nxt] & ~mask)
@@ -166,39 +172,6 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
     return None
 
 
-def _probe(adj: tuple[int, ...], free: int, last: int, start: int, closed: bool) -> int:
-    """The pruning test in full, for a state whose parent is untested: the
-    ends of a path from last through every vertex of the nonempty set free
-    (then back to start when closed), or -1 if it has no completion by this
-    necessary condition.  Every free vertex must be reachable from last
-    through free.  A free vertex with fewer than two neighbours among free,
-    last (and start when closed) can only end the path, so a path allows
-    one such vertex and a cycle none; a cycle also needs start to keep a
-    free neighbour."""
-    pool = free | 1 << last
-    allowed = 1
-    if closed:
-        if not adj[start] & free:
-            return -1
-        pool |= 1 << start
-        allowed = 0
-    ends = 0
-    seen = todo = adj[last] & free
-    while todo:
-        bit = todo & -todo
-        todo ^= bit
-        nbrs = adj[bit.bit_length() - 1]
-        if (nbrs & pool).bit_count() < 2:
-            if not allowed:
-                return -1
-            allowed -= 1
-            ends |= bit
-        new = nbrs & free & ~seen
-        seen |= new
-        todo |= new
-    return ends if seen == free else -1
-
-
 def _reaches(adj: tuple[int, ...], free: int, last: int) -> bool:
     """Whether every vertex of free is reachable from last through free."""
     seen = todo = adj[last] & free
@@ -209,13 +182,6 @@ def _reaches(adj: tuple[int, ...], free: int, last: int) -> bool:
         seen |= new
         todo |= new
     return seen == free
-
-
-def _checked(witness: PathWitness, g: SimplicialGraph) -> PathWitness:
-    """Postcondition of graph_hamiltonicity, kept under python -O."""
-    if not witness.is_valid_for(g):
-        raise AssertionFailure(f"search returned {witness.order}, not a valid witness")
-    return witness
 
 
 def _witness(g: SimplicialGraph, cyclic: bool) -> PathWitness | None:
@@ -229,23 +195,16 @@ def _witness(g: SimplicialGraph, cyclic: bool) -> PathWitness | None:
     return PathWitness._make(tuple(v + 1 for v in order), cyclic)
 
 
-def hamiltonian_path(g: SimplicialGraph) -> PathWitness | None:
-    return graph_hamiltonicity(g)
-
-
-def hamiltonian_cycle(g: SimplicialGraph) -> PathWitness | None:
-    if g.n < 3:
-        raise DegenerateGraph(f"cycles need at least 3 vertices, got {g.n}")
-    return graph_hamiltonicity(g, True)
-
-
 def graph_hamiltonicity(graph: SimplicialGraph, cyclic: bool = False) -> PathWitness | None:
     """The lexicographically smallest Hamiltonian path of the graph, or
     cycle when cyclic, checked against the graph.  This (through _witness)
     is the one home of the degenerate sizes of a Hamiltonian witness: one
-    vertex is a path, and a cycle needs three."""
+    vertex is a path, and a cycle needs three.  The check is a
+    postcondition that python -O keeps."""
     witness = _witness(graph, cyclic)
-    return None if witness is None else _checked(witness, graph)
+    if witness is not None and not witness.is_valid_for(graph):
+        raise AssertionFailure(f"search returned {witness.order}, not a valid witness")
+    return witness
 
 
 def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation | None:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import AssertionFailure, ParseError, SizeMismatch, Value
 from .fields import FieldSpec, is_prime
-from .hamilton import hamiltonian_cycle, hamiltonian_path
+from .hamilton import graph_hamiltonicity
 from .matrices import ExactMatrix, _eliminate, _eliminate_gf2
 from .rowgraph import two_row_graph
 
@@ -34,13 +34,15 @@ class ExperimentConfig(Value):
     def __init__(
         self, n: int, q: int, trials: int, seed: int, mode: ExperimentMode
     ) -> None:
-        if isinstance(trials, bool) or trials < 1:
+        # only an int will do: a bool or float equal to one would draw other
+        # trials as a seed, be written out as 2.0 as q, and fail later as n
+        if type(trials) is not int or trials < 1:
             raise SizeMismatch(f"trials must be >= 1, got {trials}")
-        if type(seed) is not int:  # bool and float seeds equal int ones but draw other trials
+        if type(seed) is not int:
             raise ParseError(f"seed must be an integer, got {seed!r}")
-        if not is_prime(q):
+        if type(q) is not int or not is_prime(q):
             raise ParseError(f"field order must be prime, got {q}")
-        if n < 2:
+        if type(n) is not int or n < 2:
             raise SizeMismatch(f"experiments need n >= 2, got {n}")
         self._set(n, q, trials, seed, mode)
 
@@ -128,13 +130,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             if two_row_graph(a).is_complete:
                 successes += 1
         else:
-            if hamiltonian_path(two_row_graph(a)) is None:
+            if graph_hamiltonicity(two_row_graph(a)) is None:
                 raise AssertionFailure(
                     f"invertible {cfg.n}x{cfg.n} over GF({cfg.q}) without a "
                     f"Hamiltonian path in its two-row graph (trial {trial})",
                     matrix=a,
                 )
-            if cfg.n >= 3 and hamiltonian_cycle(two_row_graph(a, cyclic=True)) is None:
+            if cfg.n >= 3 and graph_hamiltonicity(two_row_graph(a, True), True) is None:
                 raise AssertionFailure(
                     f"invertible {cfg.n}x{cfg.n} over GF({cfg.q}) without a "
                     f"Hamiltonian cycle in its cyclic two-row graph (trial {trial})",

@@ -31,8 +31,6 @@ from tworow import (
     determinant,
     find_one_blocks,
     graph_hamiltonicity,
-    hamiltonian_cycle,
-    hamiltonian_path,
     pair_vectors,
     rank,
     realize,
@@ -115,9 +113,9 @@ def test_criterion_03_invertible_sweep():
     for _ in range(200):
         n = rng.randint(2, 8)
         a = random_invertible(rng, QQ, n)
-        assert hamiltonian_path(two_row_graph(a)) is not None
+        assert graph_hamiltonicity(two_row_graph(a)) is not None
         if n >= 3:
-            assert hamiltonian_cycle(two_row_graph(a, cyclic=True)) is not None
+            assert graph_hamiltonicity(two_row_graph(a, cyclic=True), True) is not None
         total += 1
     report(3, f"{total} invertible samples all traceable", t0, budget=120.0)
 
@@ -208,9 +206,9 @@ def test_criterion_06_pairing_equivalence_desk_scale():
                     support = basis_support_graph(triple, b)
                     bases += 1
                     if path_ok:
-                        assert hamiltonian_path(support) is not None
+                        assert graph_hamiltonicity(support) is not None
                     if cycle_ok:
-                        assert hamiltonian_cycle(support) is not None
+                        assert graph_hamiltonicity(support, True) is not None
     assert graphs == 1 + 2 + 8 + 64 + 1024 + 32768
     report(6, f"{graphs} graphs x identity + {bases} random bases, zero mismatches",
            t0, budget=600.0)
@@ -253,7 +251,7 @@ def test_criterion_08_realization():
 def test_criterion_09_singular_counterexample():
     t0 = time.perf_counter()
     a = load_fixture_matrix("singular_3x3.json")
-    assert hamiltonian_path(two_row_graph(a)) is not None
+    assert graph_hamiltonicity(two_row_graph(a)) is not None
     assert not determinant(a)
     report(9, "traceable two-row graph despite determinant zero", t0)
 

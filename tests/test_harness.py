@@ -41,6 +41,20 @@ def test_config_validation():
         ExperimentConfig(3, 2, 20, "1", ExperimentMode.COMPLETENESS)
     with pytest.raises(ParseError, match="seed must be an integer, got None"):
         ExperimentConfig(3, 2, 20, None, ExperimentMode.COMPLETENESS)
+    # n, q and trials are ints too: 2.0 would pass is_prime and be written
+    # out as "q": 2.0, and a float n or trials fails later in run_experiment
+    with pytest.raises(SizeMismatch, match=r"experiments need n >= 2, got 2\.5"):
+        ExperimentConfig(2.5, 2, 20, 0, ExperimentMode.COMPLETENESS)
+    with pytest.raises(SizeMismatch, match=r"experiments need n >= 2, got 3\.0"):
+        ExperimentConfig(3.0, 2, 20, 0, ExperimentMode.COMPLETENESS)
+    with pytest.raises(ParseError, match=r"field order must be prime, got 2\.0"):
+        ExperimentConfig(3, 2.0, 20, 0, ExperimentMode.COMPLETENESS)
+    with pytest.raises(ParseError, match="field order must be prime, got True"):
+        ExperimentConfig(3, True, 20, 0, ExperimentMode.COMPLETENESS)
+    with pytest.raises(SizeMismatch, match=r"trials must be >= 1, got 2\.5"):
+        ExperimentConfig(3, 2, 2.5, 0, ExperimentMode.COMPLETENESS)
+    with pytest.raises(SizeMismatch, match=r"trials must be >= 1, got 2\.0"):
+        ExperimentConfig(3, 2, 2.0, 0, ExperimentMode.COMPLETENESS)
 
 
 def test_trial_rng_determinism_and_independence():

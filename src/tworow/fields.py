@@ -101,11 +101,15 @@ class FieldSpec(Value):
         return Scalar(self, value)
 
     def canonical(self, value):
-        """The raw canonical value of a plain number: a residue in [0, p)
-        over GF(p), a Fraction over Q."""
+        """The raw canonical value of a plain number: over GF(p) the residue
+        in [0, p) of an int (a bool is one), over Q a Fraction.  Over GF(p)
+        anything else raises FieldMismatch rather than be truncated: 3/2 is
+        4 in GF(5), not 1."""
         if self.kind is FieldKind.RATIONAL:
             return value if type(value) is Fraction else Fraction(value)
-        return int(value) % self.p  # type: ignore[operator]
+        if not isinstance(value, int):
+            raise FieldMismatch(f"cannot coerce {value!r} into {self.name}")
+        return value % self.p  # type: ignore[operator]
 
     def parse_raw(self, text: str):
         """Parse a canonical literal to its raw value: decimal residue for GF,

@@ -12,10 +12,9 @@ The sign convention is q(v_i*, v_j*) = +e_k* for i < j; Hamiltonicity
 questions only depend on nonvanishing, so any consistent orientation works.
 Edges are numbered in lexicographic order.
 
-Input graphs and support graphs are both rowgraph.SimplicialGraph, which
-this module re-exports with its parser graph_from_text; it defines no graph
-type of its own.  Witnesses on either graph come from
-hamilton.graph_hamiltonicity, also re-exported here.
+Input graphs and support graphs are both rowgraph.SimplicialGraph; this
+module defines no graph type of its own.  Witnesses on either graph come
+from hamilton.graph_hamiltonicity.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import DimensionMismatch, FieldMismatch, SingularBasis, Value
-from .fields import FieldKind, FieldSpec, Scalar
+from .fields import FieldSpec, Scalar
 from .hamilton import graph_hamiltonicity
 from .matrices import ExactMatrix, RowPermutation, determinant
-from .rowgraph import SimplicialGraph, graph_from_text, non_null_graph, null_masks
+from .rowgraph import SimplicialGraph, non_null_graph, null_masks
 
 
 class PairingTriple(Value):
@@ -95,17 +94,10 @@ def pair_vectors(t: PairingTriple, u, w) -> tuple[Scalar, ...]:
     uu = _coerce_vector(t, u)
     ww = _coerce_vector(t, w)
     spec = t.spec
-    coords = []
-    if spec.kind is FieldKind.RATIONAL:
-        for i, j in t.edges:
-            coords.append(spec.scalar(uu[i - 1] * ww[j - 1] - uu[j - 1] * ww[i - 1]))
-    else:
-        p = spec.p
-        for i, j in t.edges:
-            coords.append(
-                spec.scalar((uu[i - 1] * ww[j - 1] - uu[j - 1] * ww[i - 1]) % p)
-            )
-    return tuple(coords)
+    # spec.scalar reduces mod p over GF(p)
+    return tuple(
+        [spec.scalar(uu[i - 1] * ww[j - 1] - uu[j - 1] * ww[i - 1]) for i, j in t.edges]
+    )
 
 
 def _check_basis(t: PairingTriple, basis: BasisMatrix) -> ExactMatrix:

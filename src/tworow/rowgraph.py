@@ -96,23 +96,32 @@ class SimplicialGraph(Value):
         if n > MAX_VERTICES:
             raise SizeBound(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
         adj = [0] * n
-        for i, j in pairs:
-            # a bool passes every step below, and any other endpoint that is
-            # no integer raises TypeError in one; from CPython 3.11 the try
-            # costs nothing until it catches
-            try:
-                if isinstance(i, bool) or isinstance(j, bool):
-                    raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
-                if i == j:
-                    raise ParseError(f"loop at vertex {i} is not allowed")
-                if i > j:
-                    i, j = j, i
-                if i < 1 or j > n:
-                    raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
-                adj[i - 1] |= 1 << (j - 1)
-                adj[j - 1] |= 1 << (i - 1)
-            except TypeError:
-                raise ParseError(f"bad edge ({i!r},{j!r}) for {n} vertices") from None
+        # from CPython 3.11 a try costs nothing until it catches
+        try:
+            for i, j in pairs:
+                # a bool passes every step below, and any other endpoint that
+                # is no integer raises TypeError in one
+                try:
+                    if isinstance(i, bool) or isinstance(j, bool):
+                        raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
+                    if i == j:
+                        raise ParseError(f"loop at vertex {i} is not allowed")
+                    if i > j:
+                        i, j = j, i
+                    if i < 1 or j > n:
+                        raise ParseError(f"bad edge ({i},{j}) for {n} vertices")
+                    adj[i - 1] |= 1 << (j - 1)
+                    adj[j - 1] |= 1 << (i - 1)
+                except TypeError:
+                    raise ParseError(f"bad edge ({i!r},{j!r}) for {n} vertices") from None
+        except ParseError:
+            raise
+        except (TypeError, ValueError) as exc:
+            # the for statement failed: pairs is no iterable, or an edge of
+            # it no pair
+            from reprlib import repr as short
+
+            raise ParseError(f"bad edge in {short(pairs)} for {n} vertices: {exc}") from None
         return SimplicialGraph._make(n, tuple(adj))
 
     @cached_property

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -322,8 +323,15 @@ def test_raw_storage_boundary():
     a = ExactMatrix(QQ, [[QQ.scalar(Fraction(1, 2)), 3], ["-2/4", Fraction(6, 2)]])
     assert a.raw() == ((Fraction(1, 2), Fraction(3)), (Fraction(-1, 2), Fraction(3)))
     assert all(type(v) is Fraction for row in a.raw() for v in row)
-    g = ExactMatrix(GF5, [[GF5.scalar(7), -1], ["12", Fraction(9)]])
-    assert g.raw() == ((2, 4), (2, 4))
+    g = ExactMatrix(GF5, [[GF5.scalar(7), -1], ["12", True]])
+    assert g.raw() == ((2, 4), (2, 1))
+    # over GF(p) only an int (a bool is one) is a plain entry: int() would
+    # truncate 3/2 to 1, where it is 4 in GF(5)
+    for cell in (1.7, 2.0, Fraction(3, 2), Fraction(4)):
+        with pytest.raises(FieldMismatch, match=re.escape(f"cannot coerce {cell!r} into gf(5)")):
+            ExactMatrix(GF5, [[cell, 2], [1, 1]])
+        with pytest.raises(FieldMismatch, match=re.escape(f"cannot coerce {cell!r} into gf2")):
+            ExactMatrix(GF2, [[1, 0], [0, cell]])
     # equality and hashing follow the raw values and the field
     same = ExactMatrix(QQ, [["1/2", "3"], [Fraction(-1, 2), 3]])
     assert a == same and hash(a) == hash(same)

@@ -301,6 +301,21 @@ def test_row_graph_validation():
     ]:
         with pytest.raises(ParseError, match=rf"bad edge \({re.escape(shown)}\) for 3 vertices"):
             SimplicialGraph.of(3, pairs)
+    # an edge that is no pair, and pairs that are no iterable, fail in the
+    # for statement itself, which names the pairs
+    for pairs, shown in [
+        ([5], "[5]"),
+        ([(1, 2), (1, 2, 3)], "[(1, 2), (1, 2, 3)]"),
+        ([(1,)], "[(1,)]"),
+        (None, "None"),
+    ]:
+        with pytest.raises(ParseError, match=rf"bad edge in {re.escape(shown)} for 3 vertices"):
+            SimplicialGraph.of(3, pairs)
+    # a ParseError from the loop body keeps its own message
+    with pytest.raises(ParseError, match=r"^bad edge \(1,4\) for 3 vertices$"):
+        SimplicialGraph.of(3, [(1, 2), (1, 4)])
+    with pytest.raises(ParseError, match=r"^loop at vertex 2 is not allowed$"):
+        SimplicialGraph.of(3, iter([(2, 2)]))
     for n in (2.5, 2.0, "2", None):
         with pytest.raises(ParseError, match="at least one vertex, got " + re.escape(repr(n))):
             SimplicialGraph.of(n, [(1, 2)])

@@ -63,17 +63,13 @@ def test_scalar_canonicalization():
     assert QQ.scalar(Fraction(2, 4)) == QQ.scalar(Fraction(1, 2))
     assert str(GF3.scalar(5)) == "2"
     assert str(QQ.scalar(Fraction(-3, 6))) == "-1/2"
-
-
-def test_gf_coercion_takes_only_ints():
-    # int() would truncate: 3/2 is 4 in GF(5), not 1, and 2.9 is no residue
+    # over GF(p) only an int is a plain value, a bool included: int() would
+    # truncate 2.9 to 2, and 3/2 to 1 where it is 4 in GF(5)
+    assert GF5.scalar(True) == GF5.one and type(GF5.scalar(True).value) is int
     for spec in (GF2, GF5):
         for value in (2.9, 0.5, Fraction(3, 2), Fraction(4)):
-            with pytest.raises(FieldMismatch, match=f"cannot coerce .* into {re.escape(spec.name)}"):
+            with pytest.raises(FieldMismatch, match=re.escape(f"cannot coerce {value!r} into {spec.name}")):
                 spec.scalar(value)
-    assert GF5.scalar(True) == GF5.scalar(1) and type(GF5.scalar(True).value) is int
-    assert GF2.scalar(False) == GF2.zero
-    # Q takes any rational number, as before
     assert QQ.scalar(0.5) == QQ.scalar(Fraction(1, 2)) and QQ.scalar(True) == QQ.one
 
 

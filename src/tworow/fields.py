@@ -104,7 +104,9 @@ class FieldSpec(Value):
         """The raw canonical value of a plain number: over GF(p) the residue
         in [0, p) of an int (a bool is one), over Q a Fraction.  Over GF(p)
         anything else raises FieldMismatch rather than be truncated: 3/2 is
-        4 in GF(5), not 1."""
+        4 in GF(5), not 1.  Over Q a float is taken as the exact binary
+        fraction it stores, not the decimal it prints as: 0.1 becomes
+        3602879701896397/36028797018963968."""
         if self.kind is FieldKind.RATIONAL:
             return value if type(value) is Fraction else Fraction(value)
         if not isinstance(value, int):

@@ -13,13 +13,22 @@ among the free vertices, the last vertex and, for a cycle, the start can
 only end the path; a path allows one such end and a cycle none, and a
 cycle's start must keep a free neighbour.  A greedy run to the end pays
 nothing for the test, and each tested state's ends carry over to its
-children, so a forced move costs no search.  The test only cuts states with
-no completion, so it never changes the witness.  Up to MEMO_LIMIT vertices
-a dead-state memo on (visited bitmask, last vertex) also skips states
-already known to fail, shared by all start vertices of a path search.  No
-recursion is involved, so any graph size is safe from the interpreter's
-recursion limit.  The search reads a SimplicialGraph's adjacency masks as
-they are stored.
+children, so a forced move costs no search.  Reachability carries over too:
+a tested parent reached every free vertex from its last vertex, and each
+such path leaves that vertex through the child's last vertex or through one
+of the parent's other free neighbours, so the child need only reach those
+neighbours, and its search stops there.  When pruning switches on at the
+search's first dead end, the search walks the current start's greedy path
+again from the start, and the test cuts it at its highest failing state
+instead of backtracking it level by level; a cycle search's full path that
+does not close switches pruning on without this restart.  Only the greedy
+path was explored before, and the test only cuts states with no
+completion, so neither the restart nor the test ever changes the witness.
+Up to MEMO_LIMIT vertices a dead-state memo on (visited bitmask, last
+vertex) also skips states already known to fail, shared by all start
+vertices of a path search.  No recursion is involved, so any graph size is
+safe from the interpreter's recursion limit.  The search reads a
+SimplicialGraph's adjacency masks as they are stored.
 """
 
 from __future__ import annotations
@@ -75,9 +84,18 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
     that vertex's free neighbours can become ends; if the parent's last
     vertex had no other free neighbour, every path from it through the free
     vertices ran through the child, so the parent's reachability carries
-    over, and otherwise _reaches searches.  A child of an untested state,
-    entered before pruning switched on, runs the same loop from no ends
-    over every free vertex, and _reaches always searches.
+    over.  Otherwise _reaches searches from the child only until it has
+    met those other free neighbours (others): the parent reached each free
+    vertex v by a path, and after the last vertex of that path that is the
+    child or in others, the path runs through the child's free vertices
+    alone, so a child that reaches others reaches v.  A child of an
+    untested state runs the same loop from no ends over every free vertex,
+    with others every free vertex, so _reaches runs the full test.  The
+    untested states are each start and, when a cycle's full path that does
+    not close switched pruning on, the states on that path.  When a dead
+    end switches it on, the search starts the current start again with
+    every state untested, so the greedy path it had walked meets the test
+    from its first move on.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -117,7 +135,11 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
                     dead.add(mask << 5 | last)
                 mask ^= 1 << last
                 if ends is None:
+                    # pruning switches on: walk the greedy path again from
+                    # the start, so the test cuts it at its highest
+                    # failing state
                     ends = [-1] * n
+                    mask, order, stack = 1 << start, [start], [adj[start]]
                 continue
             bit = free & -free
             stack[-1] = free ^ bit
@@ -154,7 +176,7 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
                 if (
                     found.bit_count() > allowed
                     or closed and not adj[start] & rest
-                    or others and not _reaches(adj, rest, nxt)
+                    or others and not _reaches(adj, rest, nxt, others)
                 ):
                     found = -1
                 if found >= 0:
@@ -172,16 +194,19 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
     return None
 
 
-def _reaches(adj: tuple[int, ...], free: int, last: int) -> bool:
-    """Whether every vertex of free is reachable from last through free."""
+def _reaches(adj: tuple[int, ...], free: int, last: int, want: int) -> bool:
+    """Whether every vertex of want is reachable from last through free;
+    the search stops once it has reached them all."""
     seen = todo = adj[last] & free
-    while todo:
+    while want & ~seen:
+        if not todo:
+            return False
         bit = todo & -todo
         todo ^= bit
         new = adj[bit.bit_length() - 1] & free & ~seen
         seen |= new
         todo |= new
-    return seen == free
+    return True
 
 
 def _witness(g: SimplicialGraph, cyclic: bool) -> PathWitness | None:

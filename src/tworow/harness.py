@@ -37,13 +37,13 @@ class ExperimentConfig(Value):
         # only an int will do: a bool or float equal to one would draw other
         # trials as a seed, be written out as 2.0 as q, and fail later as n
         if type(trials) is not int or trials < 1:
-            raise SizeMismatch(f"trials must be >= 1, got {trials}")
+            raise SizeMismatch(f"trials must be >= 1, got {trials!r}")
         if type(seed) is not int:
             raise ParseError(f"seed must be an integer, got {seed!r}")
         if type(q) is not int or not is_prime(q):
-            raise ParseError(f"field order must be prime, got {q}")
+            raise ParseError(f"field order must be prime, got {q!r}")
         if type(n) is not int or n < 2:
-            raise SizeMismatch(f"experiments need n >= 2, got {n}")
+            raise SizeMismatch(f"experiments need n >= 2, got {n!r}")
         self._set(n, q, trials, seed, mode)
 
     def to_json_dict(self) -> dict:

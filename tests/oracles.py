@@ -233,6 +233,36 @@ def brute_hamiltonian_cycle(n: int, edges: set[tuple[int, int]]):
     return None
 
 
+def dfs_hamiltonian(n: int, edges: set[tuple[int, int]], cyclic: bool):
+    """Lexicographically first Hamiltonian path, or cycle anchored at
+    vertex 1 when cyclic, found by a depth-first search without pruning or
+    memo: smallest neighbour first, every start in order.  None if there
+    is none.  For graphs too large to try every permutation."""
+    nbrs = {v: [] for v in range(1, n + 1)}
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    for v in nbrs:
+        nbrs[v].sort()
+
+    def extend(path: list[int]):
+        if len(path) == n:
+            closes = not cyclic or path[0] in nbrs[path[-1]]
+            return tuple(path) if closes else None
+        for w in nbrs[path[-1]]:
+            if w not in path:
+                found = extend(path + [w])
+                if found:
+                    return found
+        return None
+
+    for start in [1] if cyclic else range(1, n + 1):
+        found = extend([start])
+        if found:
+            return found
+    return None
+
+
 def rank_one_over_field(a: ExactMatrix, rows, cols) -> bool:
     """Every 2x2 subdeterminant of the submatrix vanishes in the field."""
     raw = a.raw()

@@ -71,6 +71,9 @@ def test_scalar_canonicalization():
             with pytest.raises(FieldMismatch, match=re.escape(f"cannot coerce {value!r} into {spec.name}")):
                 spec.scalar(value)
     assert QQ.scalar(0.5) == QQ.scalar(Fraction(1, 2)) and QQ.scalar(True) == QQ.one
+    # over Q a float is the binary fraction it stores, not the decimal it prints
+    assert QQ.scalar(0.1).value == Fraction(3602879701896397, 36028797018963968)
+    assert QQ.scalar(0.1) != QQ.scalar(Fraction(1, 10))
 
 
 def test_parse_scalar_round_trip():

@@ -22,13 +22,15 @@ from tworow import (
     traceable_ordering,
     two_row_graph,
 )
-from tworow.hamilton import MEMO_LIMIT
+import tworow.hamilton as hamilton
+from tworow.hamilton import MEMO_LIMIT, _reaches
 
 from .conftest import ALL_SPECS, random_invertible, sparse_invertible
 from .oracles import (
     all_graphs,
     brute_hamiltonian_cycle,
     brute_hamiltonian_path,
+    dfs_hamiltonian,
     graphs_isomorphic,
 )
 
@@ -285,9 +287,45 @@ def test_search_matches_brute_force_on_every_small_graph():
                 assert (got and got.order) == brute_hamiltonian_cycle(n, edges), g
 
 
-def test_none_on_an_invertible_matrix_raises(monkeypatch):
-    import tworow.hamilton as hamilton
+@pytest.mark.parametrize("memo", [True, False])
+def test_search_matches_unpruned_dfs(memo, monkeypatch):
+    # graphs too large for brute_hamiltonian_path, searched with the
+    # dead-state memo on (n <= MEMO_LIMIT) and off (MEMO_LIMIT below n):
+    # pruning switches on at the first dead end and restarts the start in
+    # both modes, and must leave the first witness where the plain DFS finds it
+    if not memo:
+        monkeypatch.setattr(hamilton, "MEMO_LIMIT", 7)
+    rng = random.Random(23)
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(8, 11), rng.choice([0.2, 0.3, 0.4, 0.5, 0.6]))
+        assert (g.n <= hamilton.MEMO_LIMIT) == memo
+        edges = set(g.edges)
+        for cyclic in (False, True):
+            got = graph_hamiltonicity(g, cyclic)
+            assert (got and got.order) == dfs_hamiltonian(g.n, edges, cyclic), (g, cyclic)
 
+
+def test_reaches_matches_closure():
+    # _reaches(adj, free, last, want) is true exactly when every vertex of
+    # want lies in the set reachable from last through free
+    rng = random.Random(24)
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        adj = random_graph(rng, n, rng.random()).adj
+        free, last = rng.getrandbits(n), rng.randrange(n)
+        want = free & rng.getrandbits(n) if rng.random() < 0.8 else rng.getrandbits(n)
+        reached, todo = set(), [last]
+        while todo:
+            v = todo.pop()
+            for w in range(n):
+                if adj[v] >> w & 1 and free >> w & 1 and w not in reached:
+                    reached.add(w)
+                    todo.append(w)
+        expect = all(w in reached for w in range(n) if want >> w & 1)
+        assert _reaches(adj, free, last, want) == expect, (adj, free, last, want)
+
+
+def test_none_on_an_invertible_matrix_raises(monkeypatch):
     # the paper's theorem: an invertible matrix has a row order, plain for
     # n >= 2 and cyclic for n >= 3, so a search that finds none has failed
     monkeypatch.setattr(hamilton, "_search", lambda adj, closed: None)
@@ -333,8 +371,6 @@ def test_isomorphism_degree_refinement_not_fooled():
 
 
 def test_postconditions_raise_on_invalid_search_result(monkeypatch):
-    import tworow.hamilton as hamilton
-
     # a search that returns a vertex order missing an edge of the graph
     monkeypatch.setattr(hamilton, "_search", lambda *args, **kwargs: [1, 0, 2, 3])
     with pytest.raises(AssertionFailure):

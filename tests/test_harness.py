@@ -55,6 +55,13 @@ def test_config_validation():
         ExperimentConfig(3, 2, 2.5, 0, ExperimentMode.COMPLETENESS)
     with pytest.raises(SizeMismatch, match=r"trials must be >= 1, got 2\.0"):
         ExperimentConfig(3, 2, 2.0, 0, ExperimentMode.COMPLETENESS)
+    # a string count shows as a string, not as the number it spells
+    with pytest.raises(SizeMismatch, match="experiments need n >= 2, got '3'"):
+        ExperimentConfig("3", 2, 5, 0, ExperimentMode.COMPLETENESS)
+    with pytest.raises(ParseError, match="field order must be prime, got '2'"):
+        ExperimentConfig(3, "2", 5, 0, ExperimentMode.COMPLETENESS)
+    with pytest.raises(SizeMismatch, match="trials must be >= 1, got '5'"):
+        ExperimentConfig(3, 2, "5", 0, ExperimentMode.COMPLETENESS)
 
 
 def test_trial_rng_determinism_and_independence():

@@ -314,6 +314,46 @@ def test_only_fields_and_blocks_trust_a_scalar_value():
     assert _named_outside("_of", {"fields.py", "blocks.py"}) == []
 
 
+def _own_nodes(loop: ast.AST):
+    """The nodes inside a loop that no nested loop holds."""
+    todo = list(ast.iter_child_nodes(loop))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.For, ast.While)):
+            todo += ast.iter_child_nodes(node)
+
+
+def _is_degree_test(node: ast.AST) -> bool:
+    """Whether node reads `<mask>.bit_count() < 2`: a vertex with fewer
+    than two pool neighbours, which can only end the path."""
+    return (
+        isinstance(node, ast.Compare)
+        and [type(op) for op in node.ops] == [ast.Lt]
+        and getattr(node.comparators[0], "value", None) == 2
+        and isinstance(node.left, ast.Call)
+        and getattr(node.left.func, "attr", None) == "bit_count"
+    )
+
+
+def test_search_states_its_pruning_test_once():
+    # the search's pruning test is one ends loop and one _reaches call, both
+    # in _search: a restart or any other path that re-tests states on its
+    # own, in _search or in a helper, would be a second copy of the test
+    tree = ast.parse((SRC / "hamilton.py").read_text())
+    search = next(n for n in tree.body if getattr(n, "name", None) == "_search")
+
+    def pruning(root):
+        calls = [n for n in ast.walk(root) if isinstance(n, ast.Call)
+                 and getattr(n.func, "id", None) == "_reaches"]
+        loops = [n for n in ast.walk(root) if isinstance(n, (ast.For, ast.While))
+                 and any(map(_is_degree_test, _own_nodes(n)))]
+        return len(calls), len(loops)
+
+    assert pruning(search) == (1, 1)
+    assert pruning(tree) == (1, 1)
+
+
 def test_value_classes_state_their_fields_once():
     # a value class names its fields in __slots__ alone: Value derives the
     # field tuple, the slot setters, equality, hashing, repr and pickling

@@ -332,10 +332,12 @@ def _check_enumerable(a: ExactMatrix, max_size: int) -> None:
 def _track_plan(track: OneTrack) -> tuple:
     """(n, rows, cols, minors, sign): what track_sum needs of the track, on
     its n columns.  Its 1x1 members sit on the 0-based cells (rows[k],
-    cols[k]), its other members on the 0-based (rows, cols) pairs of minors,
-    and sign is that of one string of the track: each member's rows down its
-    columns, in order.  rows is None when no string fits, and SizeBound when
-    more than DEFAULT_TRACK_BOUND! strings would."""
+    cols[k]), listed in column order whatever the member order, so that
+    when they fill all n columns cols is range(n); its other members sit on
+    the 0-based (rows, cols) pairs of minors, and sign is that of one string
+    of the track: each member's rows down its columns, in order.  rows is
+    None when no string fits, and SizeBound when more than
+    DEFAULT_TRACK_BOUND! strings would."""
     members = track.members
     n = track.total_cols
     misfit = (n, None, None, None, 0)
@@ -349,7 +351,7 @@ def _track_plan(track: OneTrack) -> tuple:
                 f"track has {count} strings, above the bound {DEFAULT_TRACK_BOUND}!"
             )
     image = [0] * n  # image[c]: the row taking column c, 0 while untaken
-    rows, cols, minors = [], [], []
+    cols, minors = [], []
     for mb in members:
         if len(mb.rows) != mb.col_len:
             return misfit
@@ -359,11 +361,12 @@ def _track_plan(track: OneTrack) -> tuple:
                 return misfit
             image[c] = r
         if mb.col_len == 1:
-            rows.append(mb.rows[0] - 1)
             cols.append(span[0])
         elif span:
             minors.append((tuple(r - 1 for r in mb.rows), tuple(span)))
-    return n, tuple(rows), tuple(cols), tuple(minors), image_sign(image)
+    cols.sort()
+    rows = tuple([image[c] - 1 for c in cols])
+    return n, rows, tuple(cols), tuple(minors), image_sign(image)
 
 
 def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
@@ -379,23 +382,30 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     All of that but the entries is the track's plan, _track_plan, which
     complete_tracks hands out with each narrow track; other tracks derive
     it on every call.
-    Over Q the minors are taken on the cached integer rows, and since the
-    members use each row once the product is divided by their scale once."""
-    if not a.is_square:
+    The 1x1 members are one product over the matrix's cached column view,
+    _int_cols, each column's entry in its member's row: the whole view when
+    they fill every column, as in every narrow track, else the columns
+    they name.  Over Q the view and the minors hold the integer rows, and
+    since the members use each row once the product is divided by their
+    scale once."""
+    n = a.n
+    if a.m != n:
         raise NotSquare("track sums are defined for square matrices")
     plan = track._plan
-    n = track.total_cols if plan is None else plan[0]
-    if n != a.n:
-        raise IncompleteTrack(f"track covers {n} of {a.n} columns")
+    k = track.total_cols if plan is None else plan[0]
+    if k != n:
+        raise IncompleteTrack(f"track covers {k} of {n} columns")
     _, rows, cols, minors, sign = plan or _track_plan(track)
+    spec = a.spec
     if rows is None:
-        return a.spec.zero
-    ints, scale = a._int_rows()
-    p = a.spec.characteristic
-    value = sign * math.prod(map(getitem, map(ints.__getitem__, rows), cols))
+        return spec.zero
+    columns, scale = a._int_cols()
+    view = columns if len(cols) == n else [columns[c] for c in cols]
+    value = sign * math.prod(map(getitem, view, rows))
+    p = spec.p
     for mrows, mcols in minors:
-        value *= _eliminate([[ints[r][c] for c in mcols] for r in mrows], p)[1]
-    return Scalar._of(a.spec, value % p if p else Fraction(value, scale))
+        value *= _eliminate([[columns[c][r] for c in mcols] for r in mrows], p or 0)[1]
+    return Scalar._of(spec, value % p if p else Fraction(value, scale))
 
 
 def complete_tracks(
@@ -424,7 +434,8 @@ def complete_tracks(
     _check_enumerable(a, max_size)
     n = a.n
     owner = _one_blocks(a, cyclic)[1]
-    columns = tuple(zip(*a.raw()))
+    # zero where the raw entries are zero, over Q too
+    columns = a._int_cols()[0]
     blocks_by_column = tuple(zip(*owner))
     # single_by_column[c][r]: the 1x1 member on the nonzero cell (r+1, c+1),
     # made at the first narrow string
@@ -504,13 +515,13 @@ def det_by_tracks(
     once at the end."""
     _check_enumerable(a, max_size)
     n = a.n
-    rows, scale = a._int_rows()
+    columns, scale = a._int_cols()
     p = a.spec.characteristic
     blocks, owner = _one_blocks(a, cyclic)
     spans = [sum(1 << (c - 1) for c in block.columns(n)) for block in blocks]
     # cols[c]: (row, entry, block, ahead) for each nonzero cell of column c
     cols = []
-    for c, column in enumerate(zip(*rows)):
+    for c, column in enumerate(columns):
         after = (c + 1) % n if cyclic else c + 1
         col = []
         for r, v in enumerate(column):

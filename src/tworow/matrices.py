@@ -6,6 +6,8 @@ entry of row i in column j.  Matrices are immutable after construction.
 Every fact derived from a matrix that is asked for more than once lives in
 one dict per matrix, ExactMatrix._memo, filled on first use and gone with
 the matrix.  Its keys are fixed: "ints", the integer rows (_int_rows);
+"int_cols", the same rows read by column with the same scale (_int_cols),
+the view that the track sums, the track list and det_by_tracks read;
 "rank_det", the (rank, determinant) pair of _rank_det; and, filled by
 rowgraph, "plain" and "wrap", the row null masks on the consecutive column
 windows and on the wrap window (n, 1) alone, "windows", the masks on the
@@ -139,6 +141,15 @@ class ExactMatrix:
                 ints = (self._raw, 1)
             self._memo["ints"] = ints
         return ints
+
+    def _int_cols(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(columns, scale): _int_rows read by column, so that columns[c][r]
+        is rows[r][c], with the same scale.  Computed once, in _memo."""
+        found = self._memo.get("int_cols")
+        if found is None:
+            rows, scale = self._int_rows()
+            found = self._memo["int_cols"] = tuple(zip(*rows)), scale
+        return found
 
     def _check_row(self, i: int) -> None:
         if not 1 <= i <= self.m:

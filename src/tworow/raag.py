@@ -24,7 +24,7 @@ from functools import cached_property
 from .errors import DimensionMismatch, FieldMismatch, SingularBasis, Value
 from .fields import FieldSpec, Scalar
 from .hamilton import graph_hamiltonicity
-from .matrices import ExactMatrix, RowPermutation, determinant
+from .matrices import ExactMatrix, RowPermutation, _rank_det
 from .rowgraph import SimplicialGraph, non_null_graph, null_masks
 
 
@@ -41,6 +41,12 @@ class PairingTriple(Value):
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: k for k, e in enumerate(self.edges, start=1)}
+
+    @cached_property
+    def windows(self) -> tuple[tuple[int, int], ...]:
+        """The edges as 0-based column pairs, the windows of the support
+        graph's minors."""
+        return tuple([(x - 1, y - 1) for x, y in self.edges])
 
     def q_basis(self, i: int, j: int) -> tuple[int, Scalar] | None:
         """(k, coefficient) with q(v_i*, v_j*) = coeff * e_k*, or None off edges."""
@@ -106,7 +112,7 @@ def _check_basis(t: PairingTriple, basis: BasisMatrix) -> ExactMatrix:
         raise FieldMismatch(f"basis over {a.spec.name}, pairing over {t.spec.name}")
     if a.n != t.n:
         raise DimensionMismatch(f"basis is {a.n}-dimensional, pairing needs {t.n}")
-    if not determinant(a):
+    if not _rank_det(a)[1]:
         raise SingularBasis("basis matrix is singular")
     return a
 
@@ -115,8 +121,7 @@ def _support_graph(t: PairingTriple, a: ExactMatrix) -> SimplicialGraph:
     """Support graph of an already checked basis: rows w_i, w_j are joined
     iff some edge {x, y} gives the nonzero coordinate of q(w_i, w_j), the
     2x2 minor of rows i, j on columns (x, y)."""
-    windows = [(x - 1, y - 1) for x, y in t.edges]
-    return non_null_graph(null_masks(a, windows))
+    return non_null_graph(null_masks(a, t.windows))
 
 
 def basis_support_graph(t: PairingTriple, basis: BasisMatrix) -> SimplicialGraph:

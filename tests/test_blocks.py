@@ -421,14 +421,15 @@ def test_det_by_tracks_random(spec, cyclic):
         assert det_by_tracks(a, cyclic) == determinant(a)
 
 
-def planted_matrix(rng, spec, n, zero_share):
+def planted_matrix(rng, spec, n, zero_share, values=None):
     """A random n x n matrix, about zero_share of its cells zero, in which
     (for n >= 4) two rows hold a 1-block, plain and cyclic: on a run of
     columns row j is a multiple of row i, elsewhere row j is zero, and row i
-    is zero on the two columns flanking the run (cyclically)."""
-    if spec is QQ:
+    is zero on the two columns flanking the run (cyclically).  Its nonzero
+    entries come from values, a small pool drawn here unless given."""
+    if values is None and spec is QQ:
         values = ["1", "-1", "2", "1/2", "-3/4"]
-    else:
+    elif values is None:
         values = [rng.randrange(1, spec.p) for _ in range(6)]
     rows = [
         [0 if rng.random() < zero_share else rng.choice(values) for _ in range(n)]
@@ -767,6 +768,79 @@ def test_track_plan_belongs_to_the_track():
             track_sum(ExactMatrix.identity(GF3, 8), over)
         with pytest.raises(SizeBound):
             track_sum(ones, over)
+
+
+def allowed_rows(track, n):
+    """For each column, the rows of the member holding it: the strings of
+    the track are the strings that take each column's row from its set."""
+    allowed = [set() for _ in range(n)]
+    for mb in track.members:
+        for c in mb.columns(n):
+            allowed[c - 1] |= set(mb.rows)
+    return allowed
+
+
+def differential_matrix(rng, spec, n):
+    """A planted_matrix whose nonzero entries come from a fresh pool: over
+    Q fractions with denominators 2 to 9, so that the rows are scaled to
+    integers by more than 1."""
+    if spec is QQ:
+        values = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 9))
+                  for _ in range(8)]
+    else:
+        values = [rng.randrange(1, spec.p) for _ in range(8)]
+    return planted_matrix(rng, spec, n, 0.3, values)
+
+
+def shuffled_track(rng, n, cyclic, minor_share):
+    """A complete track of a random string: its columns cut into runs,
+    starting anywhere when cyclic, each run one member (a 1x1 member, or
+    with probability minor_share a minor on up to the rest of the columns),
+    and the members listed in random order."""
+    image = rng.sample(range(1, n + 1), n)  # image[c]: the row of column c + 1
+    offset = rng.randrange(n) if cyclic else 0
+    members = []
+    c = 0
+    while c < n:
+        length = rng.randint(2, n - c) if c < n - 1 and rng.random() < minor_share else 1
+        cols = [(offset + c + t) % n for t in range(length)]
+        members.append(TrackMember(tuple(sorted(image[x] for x in cols)), cols[0] + 1, length))
+        c += length
+    rng.shuffle(members)
+    return OneTrack(tuple(members), cyclic)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [FieldSpec.gf(2147483647)], ids=lambda s: s.name)
+def test_track_sum_matches_constrained_sum(spec):
+    # track_sum against the signed sum of the strings each column's member
+    # allows: every track of complete_tracks, plain and cyclic, and hand-built
+    # tracks whose 1x1 members are out of column order or mixed with minors,
+    # each summed on its own matrix and on a second one, so that a plan
+    # carries nothing of the matrix it came from
+    rng = random.Random(f"differential:{spec.name}")
+    wide = narrow = out_of_order = mixed = 0
+    for n in (1, 2, 3, 4, 4, 5, 5, 6):
+        a, b = differential_matrix(rng, spec, n), differential_matrix(rng, spec, n)
+        if spec is QQ and n > 1:
+            assert any(v.denominator > 1 for row in a.raw() for v in row)
+        for cyclic in (False, True):
+            tracks = complete_tracks(a, cyclic)
+            built = [shuffled_track(rng, n, cyclic, share) for share in (0, 0, 0.4, 0.4)]
+            for t in tracks + built:
+                allowed = allowed_rows(t, n)
+                assert track_sum(a, t) == constrained_sum(a, allowed), (a, t)
+                assert track_sum(b, t) == constrained_sum(b, allowed), (b, t)
+            for t in tracks:
+                wide += t.has_minor
+                narrow += not t.has_minor
+            for t in built:
+                starts = [mb.col_start for mb in t.members if not mb.is_minor]
+                out_of_order += starts != sorted(starts)
+                mixed += t.has_minor and bool(starts)
+                if not t.has_minor:
+                    # the plan lists the 1x1 members in column order
+                    assert blocks._track_plan(t)[2] == tuple(range(n))
+    assert wide and narrow and out_of_order and mixed
 
 
 def test_complete_tracks_bound():

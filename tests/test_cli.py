@@ -335,7 +335,7 @@ def test_raag_direct(capsys):
 
 
 def test_raag_with_basis(capsys, tmp_path, monkeypatch):
-    # the basis is checked (one determinant) and its support graph built
+    # the basis is checked (one _rank_det) and its support graph built
     # (one null_masks) once per call, and the witness searched on that graph
     calls = []
 
@@ -348,7 +348,7 @@ def test_raag_with_basis(capsys, tmp_path, monkeypatch):
 
         monkeypatch.setattr(raag, name, wrapper)
 
-    counted("determinant")
+    counted("_rank_det")
     counted("null_masks")
     p4 = tmp_path / "p4.txt"
     p4.write_text("1 2\n2 3\n3 4\n")
@@ -360,13 +360,13 @@ def test_raag_with_basis(capsys, tmp_path, monkeypatch):
         '{"closed":false,"support":{"edges":[[1,2],[2,3],[3,4]],"n":4},'
         '"witness":[1,2,3,4]}\n'
     )
-    assert sorted(calls) == ["determinant", "null_masks"]
+    assert sorted(calls) == ["_rank_det", "null_masks"]
     calls.clear()
     code, out, err = run_cli(
         capsys, "raag", "--graph", str(p4), "--basis", ID4, "--cyclic"
     )
     assert (code, out, err) == (3, "", "no basis Hamiltonian witness\n")
-    assert sorted(calls) == ["determinant", "null_masks"]
+    assert sorted(calls) == ["_rank_det", "null_masks"]
 
 
 def test_experiment_deterministic(capsys):

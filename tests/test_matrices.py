@@ -467,9 +467,15 @@ def test_integer_row_cache_holds_tuples():
     cache = a._int_rows()
     assert determinant(a) == d and rank(a) == 3
     assert a.raw() is raw and a._int_rows() is cache
+    # the column view: the same integers read by column, with the same scale
+    view = a._int_cols()
+    assert view == (((3, -9, 45), (4, 60, -5), (0, 14, 18)), scale)
+    assert type(view[0]) is tuple and all(type(col) is tuple for col in view[0])
+    assert a._int_cols() is view and a._int_rows() is cache
     # over GF(p) the raw rows are already integers
     g = ExactMatrix(GF5, [[1, 2], [3, 4]])
     assert g._int_rows() == (g.raw(), 1)
+    assert g._int_cols() == (((1, 3), (2, 4)), 1)
 
 
 def test_integer_row_cache_matches_oracles():

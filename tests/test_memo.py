@@ -18,12 +18,15 @@ from tworow import (
     basis_hamiltonian_witness,
     basis_support_graph,
     block_partition,
+    complete_tracks,
     cup_pairing,
+    det_by_tracks,
     determinant,
     find_one_blocks,
     opp_graph,
     rank,
     sample_gl,
+    track_sum,
     traceable_ordering,
     two_row_graph,
 )
@@ -83,8 +86,11 @@ def _outcome(f, *args):
 
 def _calls(spec, n: int, rng: random.Random, first: bool):
     """(name, function of the matrix) in call order, with cyclic = first
-    before cyclic = not first for every call that takes the flag."""
-    out = []
+    before cyclic = not first for every call that takes the flag.  The
+    column view of the integer rows is taken first, and again after the
+    track calls and determinant."""
+    view = ("int_cols", lambda a: a._int_cols())
+    out = [view]
     for cyclic in (first, not first):
         out += [
             (f"row_null_masks {cyclic}", lambda a, c=cyclic: row_null_masks(a, c)),
@@ -93,9 +99,15 @@ def _calls(spec, n: int, rng: random.Random, first: bool):
             (f"block_partition {cyclic}", lambda a, c=cyclic: block_partition(a, c)),
             (f"find_one_blocks {cyclic}", lambda a, c=cyclic: find_one_blocks(a, c)),
             (f"traceable_ordering {cyclic}", lambda a, c=cyclic: traceable_ordering(a, c)),
+            (f"complete_tracks {cyclic}", lambda a, c=cyclic: complete_tracks(a, c)),
+            (f"track_sum {cyclic}",
+             lambda a, c=cyclic: [track_sum(a, t) for t in complete_tracks(a, c)]),
+            view,
+            (f"det_by_tracks {cyclic}", lambda a, c=cyclic: det_by_tracks(a, c)),
+            view,
         ]
         if cyclic == first:
-            out += [("determinant", determinant), ("rank", rank)]
+            out += [("determinant", determinant), view, ("rank", rank)]
     for k, g in enumerate(_graphs(rng, n)):
         t = cup_pairing(g, spec)
         out.append((f"basis_support_graph {k}",

@@ -272,6 +272,42 @@ def test_only_matrices_and_rowgraph_name_the_memo():
     assert _named_outside("_memo", {"matrices.py", "rowgraph.py"}) == []
 
 
+def _memo_keys(path: Path) -> tuple[set[str], list[str]]:
+    """The keys path reads or writes in a matrix memo, as _memo[key],
+    memo[key] or a .get(key) on either, and file:line of each such site
+    whose key is not a string literal."""
+    keys, odd = set(), []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Subscript):
+            holder, key = node.value, node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args):
+            holder, key = node.func.value, node.args[0]
+        else:
+            continue
+        if getattr(holder, "attr", None) != "_memo" and getattr(holder, "id", None) != "memo":
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            keys.add(key.value)
+        else:
+            odd.append(f"{path.name}:{node.lineno}")
+    return keys, odd
+
+
+def test_memo_keys_are_documented():
+    # the matrices module docstring holds the memo's fixed key list: every
+    # key the two memo modules use is named there, in quotes
+    doc = ast.get_docstring(ast.parse((SRC / "matrices.py").read_text()))
+    keys, odd = set(), []
+    for name in ("matrices.py", "rowgraph.py"):
+        found, bad = _memo_keys(SRC / name)
+        keys |= found
+        odd += bad
+    assert odd == []
+    assert {"ints", "rank_det", "plain", "wrap", "windows", "cols"} <= keys
+    assert sorted(k for k in keys if f'"{k}"' not in doc) == []
+
+
 # the raw-entry row checks behind the traceability postcondition, and the
 # kernel and memo names they must not use
 RAW_ROW_CHECKS = {"_null_connected_raw", "_vanishes_fn", "null_connected",

@@ -440,7 +440,7 @@ def complete_tracks(
     # single_by_column[c][r]: the 1x1 member on the nonzero cell (r+1, c+1),
     # made at the first narrow string
     single_by_column = None
-    nonzero = [sum(1 << r for r, v in enumerate(col) if v) for col in columns]
+    nonzero = a._col_masks()
     states = [(0, (), -1, False, 0)]
     for c in range(n - 1):
         col_blocks = blocks_by_column[c]

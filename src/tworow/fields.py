@@ -106,9 +106,16 @@ class FieldSpec(Value):
         anything else raises FieldMismatch rather than be truncated: 3/2 is
         4 in GF(5), not 1.  Over Q a float is taken as the exact binary
         fraction it stores, not the decimal it prints as: 0.1 becomes
-        3602879701896397/36028797018963968."""
+        3602879701896397/36028797018963968.  Whatever Fraction cannot take
+        (None, a complex, nan, an infinity, a bad string) raises
+        FieldMismatch over Q as well."""
         if self.kind is FieldKind.RATIONAL:
-            return value if type(value) is Fraction else Fraction(value)
+            if type(value) is Fraction:
+                return value
+            try:
+                return Fraction(value)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise FieldMismatch(f"cannot coerce {value!r} into {self.name}") from None
         if not isinstance(value, int):
             raise FieldMismatch(f"cannot coerce {value!r} into {self.name}")
         return value % self.p  # type: ignore[operator]

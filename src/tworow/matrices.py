@@ -8,21 +8,25 @@ one dict per matrix, ExactMatrix._memo, filled on first use and gone with
 the matrix.  Its keys are fixed: "ints", the integer rows (_int_rows);
 "int_cols", the same rows read by column with the same scale (_int_cols),
 the view that the track sums, the track list and det_by_tracks read;
-"rank_det", the (rank, determinant) pair of _rank_det; and, filled by
-rowgraph, "plain" and "wrap", the row null masks on the consecutive column
-windows and on the wrap window (n, 1) alone, "windows", the masks on the
-one window set most recently passed to rowgraph.null_masks, with that set,
-and, over GF(2) only, "cols", one row bitmask per column.  Only this module
-and rowgraph read or write it.
+"rank_det", the (rank, determinant) pair of _rank_det; "cols", one row
+bitmask per column, bit i set where row i is nonzero, over every field
+(_col_masks), which the null-mask scan, the GF(2) elimination and the
+track list read; and, filled by rowgraph, "plain" and "wrap", the row null
+masks on the consecutive column windows and on the wrap window (n, 1)
+alone, and "windows", the masks on the one window set most recently passed
+to rowgraph.null_masks, with that set.  Only this module and rowgraph read
+or write it, and only this module writes "cols".
 
 determinant and rank are one elimination core behind a field dispatch.
 _eliminate runs on int rows: modulo p on rows packed into ints, one lane
 per column, so that clearing a column below its pivot costs one big-int
 multiply-add per row; and fraction-free (Bareiss) over Q, on the rows with
 their denominators cleared.  _eliminate_gf2 is the twin on rows packed
-into bits over GF(2).  Both return (rank, det); harness.sample_gl calls
-them on the rows it draws and hands the pair of the draw it keeps to
-ExactMatrix._from_raw, so its matrix is eliminated once.
+into bits over GF(2), which _rank_det hands the column masks: A and its
+transpose share rank and determinant.  Both return (rank, det);
+harness.sample_gl calls them on the rows it draws and hands the pair of
+the draw it keeps to ExactMatrix._from_raw, so its matrix is eliminated
+once.
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ from .errors import (
     Value,
 )
 from .fields import FieldKind, FieldSpec, Scalar, parse_field
+
+# byte 0 to the digit "0" and every other byte to "1", for int(..., 2)
+_BINARY_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
 
 
 class ExactMatrix:
@@ -83,15 +90,20 @@ class ExactMatrix:
         self._memo: dict = {}
 
     @classmethod
-    def _from_raw(cls, spec: FieldSpec, raw: tuple, rank_det=None) -> "ExactMatrix":
+    def _from_raw(
+        cls, spec: FieldSpec, raw: tuple, rank_det=None, cols=None
+    ) -> "ExactMatrix":
         """Trusted constructor: raw is a tuple of equal-length tuples of
         canonical values over spec; only the shape is checked.  A caller
         that has eliminated raw already passes its (rank, raw determinant)
-        as rank_det, which goes into _memo unchecked."""
+        as rank_det, and one that knows where raw is nonzero passes the
+        column masks of _col_masks as cols; both go into _memo unchecked."""
         a = cls.__new__(cls)
         a._init(spec, raw)
         if rank_det is not None:
             a._memo["rank_det"] = rank_det
+        if cols is not None:
+            a._memo["cols"] = cols
         return a
 
     @classmethod
@@ -150,6 +162,25 @@ class ExactMatrix:
             rows, scale = self._int_rows()
             found = self._memo["int_cols"] = tuple(zip(*rows)), scale
         return found
+
+    def _col_masks(self) -> tuple[int, ...]:
+        """One row bitmask per column: bit i of mask c is set iff row i is
+        nonzero in column c.  Each row becomes one byte per entry, nonzero
+        where the entry is (over Q, on the integer rows), and the rows are
+        joined last row first, so that column c, every n-th byte from c,
+        reads as a binary number with row i at bit i.  Computed once, in
+        _memo."""
+        cols = self._memo.get("cols")
+        if cols is None:
+            rows = self._int_rows()[0]
+            if 0 < self.spec.characteristic < 256:
+                rows = map(bytearray, rows)
+            else:
+                rows = [bytearray(map(bool, row)) for row in rows]
+            bits = b"".join(reversed(list(rows))).translate(_BINARY_DIGITS)
+            n = self.n
+            cols = self._memo["cols"] = tuple([int(bits[c::n], 2) for c in range(n)])
+        return cols
 
     def _check_row(self, i: int) -> None:
         if not 1 <= i <= self.m:
@@ -254,7 +285,8 @@ class RowPermutation(Value):
 
     def __init__(self, image: tuple[int, ...]) -> None:
         n = len(image)
-        if sorted(image) != list(range(1, n + 1)):
+        # 2.0 and True compare equal to ints, so the sorted test alone passes them
+        if any(type(v) is not int for v in image) or sorted(image) != list(range(1, n + 1)):
             raise SizeMismatch(f"not a permutation of 1..{n}: {image}")
         self._set(tuple(image))
 
@@ -466,13 +498,8 @@ def _rank_det(a: ExactMatrix) -> tuple[int, object]:
         return found
     spec = a.spec
     if spec.kind is FieldKind.GF2:
-        words = []
-        for row in a.raw():
-            word = 0
-            for v in row:
-                word = word << 1 | v
-            words.append(word)
-        found = _eliminate_gf2(words, a.n)
+        # the rows of the transpose, which has the rank and det of a
+        found = _eliminate_gf2(a._col_masks(), a.m)
     else:
         p = spec.characteristic
         rows, scale = a._int_rows()

@@ -9,7 +9,9 @@ and one more zero column pads the whole matrix.  Unit columns are the only
 nonzero columns, so the only invertible consecutive windows are the adjacent
 unit-column pairs planted per edge, which makes rows i and j null-connected
 exactly when {i,j} is a non-edge.  Every column holds at most one 1, so
-realize lists the row of each unit column first and fills the rows once.
+realize lists the row of each unit column first, fills the rows once, and
+hands the matrix its column masks, which verify_realization's two-row
+graph then reads.
 
 The result is deliberately non-square and never claimed invertible.
 """
@@ -65,7 +67,9 @@ def realize(graph: SimplicialGraph) -> RealizationResult:
     for c, r in enumerate(unit):
         if r >= 0:
             rows[r][c] = 1
-    a = ExactMatrix._from_raw(GF2, tuple(map(tuple, rows)))
+    # the column masks of the two-row graph's scan, from the same list
+    cols = tuple([1 << r if r >= 0 else 0 for r in unit])
+    a = ExactMatrix._from_raw(GF2, tuple(map(tuple, rows)), cols=cols)
     if a.n != expected_columns(graph):
         raise AssertionFailure(
             f"realization has {a.n} columns, expected {expected_columns(graph)}",

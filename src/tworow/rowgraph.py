@@ -13,14 +13,16 @@ columns (n, 1) to vanish.  The two-row graph joins exactly the pairs that
 are not null-connected.
 
 All row pairs at once come from one kernel, _scan_masks, which takes any
-set of column windows.  Over GF(2) it works on one row bitmask per column,
-kept in the matrix's memo (ExactMatrix._memo, see matrices) under "cols";
-over other fields, on projective classes.  Its results are kept in the memo
-too: row_null_masks keeps the masks on the consecutive windows under
-"plain" and those on the wrap window (n, 1) alone under "wrap", and
-null_masks, with a graph's edges as the windows for the pairing support
-graphs of raag, keeps the masks of the one window set it was last given,
-with that set, under "windows".  Rows are null-connected on every window
+set of column windows and serves every field.  It works on the matrix's
+column masks, one row bitmask per column (ExactMatrix._col_masks, kept in
+its memo, ExactMatrix._memo, under "cols"; see matrices), so a window
+touches only the rows nonzero in it; _projective_classes splits the rows
+nonzero in both of its columns.  Its results are kept in the memo too:
+row_null_masks keeps the masks on the consecutive windows under "plain"
+and those on the wrap window (n, 1) alone under "wrap", and null_masks,
+with a graph's edges as the windows for the pairing support graphs of
+raag, keeps the masks of the one window set it was last given, with that
+set, under "windows".  Rows are null-connected on every window
 of a set exactly when they are on each window, so the cyclic masks are the
 plain masks ANDed row by row with the wrap masks: the cyclic graph costs
 one window more than the plain one.  Cached masks are tuples; callers get
@@ -50,9 +52,6 @@ from .errors import (
 from .fields import FieldKind
 from .matrices import ExactMatrix
 
-# bytes 0 and 1 to the digits "0" and "1", for int(..., 2)
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
 # the largest vertex count SimplicialGraph.of accepts: its n masks of n bits
 # then take at most 2 MiB
 MAX_VERTICES = 4096
@@ -73,6 +72,9 @@ class SimplicialGraph(Value):
             raise ParseError(f"graph needs at least one vertex, got {n!r}")
         if len(adj) != n:
             raise ParseError(f"{len(adj)} adjacency masks for {n} vertices")
+        for i, mask in enumerate(adj):
+            if type(mask) is not int:
+                raise ParseError(f"vertex {i + 1}: adjacency mask {mask!r} is not an int")
         # the transpose, from the set bits of each mask's low n bits: bit j
         # of into[i] is set iff bit i of adj[j] is
         into = [0] * n
@@ -279,94 +281,65 @@ def _null_connected_raw(ri, rj, vanishes, cyclic: bool) -> bool:
 
 
 def _projective_classes(a: ExactMatrix):
-    """Rows to classify and the class key of a nonzero pair (u, v) of their
-    entries: v/u mod p over GF(p) (p itself when u = 0); over Q, the pair
-    divided by its gcd with a sign fixed, on the rows with their
-    denominators cleared.  Two nonzero pairs span a singular 2x2 minor
-    exactly when their keys agree."""
+    """split(both, x, y): the rows of the bitmask both, each nonzero in
+    columns x and y, as bitmasks of the classes whose pairs span singular
+    2x2 minors on (x, y).  The class key of a row (u, v) is v/u mod p over
+    GF(p); over Q, the pair divided by its gcd with the sign of u, on the
+    rows with their denominators cleared.  Over GF(2) every such row reads
+    11, so both is one class and there is no split: None."""
+    if a.spec.kind is FieldKind.GF2:
+        return None
     rows = a._int_rows()[0]
     if a.spec.kind is FieldKind.RATIONAL:
 
         def key(u, v):
             g = gcd(u, v)
-            if u < 0 or (not u and v < 0):
+            if u < 0:
                 g = -g
             return u // g, v // g
 
-        return rows, key
-    p = a.spec.p
-    inverse: dict[int, int] = {}
+    else:
+        p = a.spec.p
+        inverse: dict[int, int] = {}
 
-    def key(u, v):
-        if not u:
-            return p
-        inv = inverse.get(u)
-        if inv is None:
-            inv = inverse[u] = pow(u, -1, p)
-        return v * inv % p
+        def key(u, v):
+            inv = inverse.get(u)
+            if inv is None:
+                inv = inverse[u] = pow(u, -1, p)
+            return v * inv % p
 
-    return rows, key
+    def split(both, x, y):
+        classes: dict = {}
+        while both:
+            low = both & -both
+            row = rows[low.bit_length() - 1]
+            k = key(row[x], row[y])
+            classes[k] = classes.get(k, 0) | low
+            both ^= low
+        return classes.values()
+
+    return split
 
 
 def _scan_masks(a: ExactMatrix, windows: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """Null-connectedness of the rows of a on a set of column windows.
 
     Bit j of mask i is set iff rows i != j (0-based) span a singular 2x2
-    minor on every column pair (x, y) in windows (0-based).  Over GF(2)
-    this is _scan_bits, elsewhere _scan_classes; both return the same
-    masks.  Uncached: null_masks and row_null_masks keep what it returns.
+    minor on every column pair (x, y) in windows (0-based).  It works on
+    the column masks of a, one row bitmask per column.  In a window with
+    column masks X and Y on the live rows, the rows nonzero in x only form
+    one class, those nonzero in y only another, and _projective_classes
+    splits those nonzero in both; the zero rows, live ^ (X | Y), are
+    singular with every row.  Each row of a class ANDs the class and the
+    zero rows into its mask, so a window costs what its nonzero rows do.
+    A row whose mask empties leaves the live rows.  Uncached: null_masks
+    and row_null_masks keep what it returns.
     """
-    if a.spec.kind is FieldKind.GF2:
-        return _scan_bits(a, windows)
-    return _scan_classes(a, windows)
-
-
-def _scan_classes(a: ExactMatrix, windows: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """_scan_masks on any field.  In each window a row with both entries
-    zero is singular with every row, and any other row exactly with the
-    rows of its projective class, so a window costs O(m).  Rows with an
-    empty mask drop out, and the scan stops once every mask is empty."""
-    m = a.m
-    masks = [((1 << m) - 1) ^ (1 << i) for i in range(m)]
-    rows, key = _projective_classes(a)
-    live = range(m)
-    for x, y in windows:
-        live = [i for i in live if masks[i]]
-        if not live:
-            break
-        classes: dict = {}
-        zero = 0
-        keyed = []
-        for i in live:
-            r = rows[i]
-            u, v = r[x], r[y]
-            if u or v:
-                k = key(u, v)
-                classes[k] = classes.get(k, 0) | 1 << i
-                keyed.append((i, k))
-            else:
-                zero |= 1 << i
-        for i, k in keyed:
-            masks[i] &= classes[k] | zero
-    return tuple(masks)
-
-
-def _scan_bits(a: ExactMatrix, windows: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """_scan_masks over GF(2), on one row bitmask per column, kept in the
-    memo under "cols".  In a window (x, y) with column masks X and Y, the
-    three projective classes are the rows reading 11, 10 and 01: X & Y,
-    X & ~Y and Y & ~X.  Each row of a class ANDs the class and the zero
-    rows into its mask.  Only rows with a nonempty mask take part."""
     m = a.m
     full = (1 << m) - 1
     masks = [full ^ 1 << i for i in range(m)]
-    cols = a._memo.get("cols")
-    if cols is None:
-        # the entries as "0"/"1" bytes, last row first, so that column c,
-        # every n-th byte from c, reads as a binary number with row i at bit i
-        bits = b"".join(map(bytes, reversed(a.raw()))).translate(_BINARY_DIGITS)
-        n = a.n
-        cols = a._memo["cols"] = tuple([int(bits[c::n], 2) for c in range(n)])
+    cols = a._col_masks()
+    split = _projective_classes(a)
     live = full
     for x, y in windows:
         if not live:
@@ -376,7 +349,12 @@ def _scan_bits(a: ExactMatrix, windows: Sequence[tuple[int, int]]) -> tuple[int,
             continue  # a column zero on the live rows: every minor vanishes
         both = xs & ys
         zero = live ^ (xs | ys)
-        for rest in (both, xs ^ both, ys ^ both):
+        # nonzero in x only, in y only, and in both: one class unless split
+        if split is not None and both & both - 1:
+            classes = (xs ^ both, ys ^ both, *split(both, x, y))
+        else:
+            classes = (xs ^ both, ys ^ both, both)
+        for rest in classes:
             keep = rest | zero
             while rest:
                 low = rest & -rest

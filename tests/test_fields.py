@@ -11,6 +11,7 @@ from tworow import (
     GF5,
     QQ,
     DivisionByZero,
+    ExactMatrix,
     FieldKind,
     FieldMismatch,
     FieldSpec,
@@ -74,6 +75,16 @@ def test_scalar_canonicalization():
     # over Q a float is the binary fraction it stores, not the decimal it prints
     assert QQ.scalar(0.1).value == Fraction(3602879701896397, 36028797018963968)
     assert QQ.scalar(0.1) != QQ.scalar(Fraction(1, 10))
+    # what Fraction cannot take is a FieldMismatch over Q as over GF(p);
+    # a rational literal still is a value
+    assert QQ.scalar("1/2") == QQ.scalar(Fraction(1, 2))
+    for value in (None, [1], 1 + 2j, float("nan"), "abc", float("inf"), "1/0"):
+        for spec in (GF5, QQ):
+            with pytest.raises(FieldMismatch, match=re.escape(f"cannot coerce {value!r} into {spec.name}")):
+                spec.scalar(value)
+    for spec in (GF5, QQ):
+        with pytest.raises(FieldMismatch, match=f"cannot coerce None into {re.escape(spec.name)}"):
+            ExactMatrix(spec, [[None]])
 
 
 def test_parse_scalar_round_trip():

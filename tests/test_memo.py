@@ -87,10 +87,10 @@ def _outcome(f, *args):
 def _calls(spec, n: int, rng: random.Random, first: bool):
     """(name, function of the matrix) in call order, with cyclic = first
     before cyclic = not first for every call that takes the flag.  The
-    column view of the integer rows is taken first, and again after the
-    track calls and determinant."""
-    view = ("int_cols", lambda a: a._int_cols())
-    out = [view]
+    column view of the integer rows and the column masks are taken first,
+    and again after the track calls and determinant."""
+    views = [("int_cols", lambda a: a._int_cols()), ("cols", lambda a: a._col_masks())]
+    out = list(views)
     for cyclic in (first, not first):
         out += [
             (f"row_null_masks {cyclic}", lambda a, c=cyclic: row_null_masks(a, c)),
@@ -102,12 +102,12 @@ def _calls(spec, n: int, rng: random.Random, first: bool):
             (f"complete_tracks {cyclic}", lambda a, c=cyclic: complete_tracks(a, c)),
             (f"track_sum {cyclic}",
              lambda a, c=cyclic: [track_sum(a, t) for t in complete_tracks(a, c)]),
-            view,
+            *views,
             (f"det_by_tracks {cyclic}", lambda a, c=cyclic: det_by_tracks(a, c)),
-            view,
+            *views,
         ]
         if cyclic == first:
-            out += [("determinant", determinant), view, ("rank", rank)]
+            out += [("determinant", determinant), *views, ("rank", rank)]
     for k, g in enumerate(_graphs(rng, n)):
         t = cup_pairing(g, spec)
         out.append((f"basis_support_graph {k}",

@@ -63,6 +63,8 @@ def test_entries_are_bits():
         res = realize(g)
         assert res.a.spec is GF2
         assert all(v in (0, 1) for row in res.a.raw() for v in row)
+        # realize hands its matrix the column masks a fresh copy builds
+        assert res.a._col_masks() == ExactMatrix(GF2, res.a.raw())._col_masks()
 
 
 def test_exhaustive_small_graphs():

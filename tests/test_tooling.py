@@ -390,6 +390,27 @@ def test_search_states_its_pruning_test_once():
     assert pruning(tree) == (1, 1)
 
 
+def test_one_scan_for_every_field_and_one_writer_of_column_masks():
+    # the null masks of every field come from one kernel on the column
+    # masks, with no fork by field in it: a second scan function would be a
+    # near-copy to keep in step; and the masks are built in one place, so
+    # no caller keeps a second recipe for them
+    tree = ast.parse((SRC / "rowgraph.py").read_text())
+    scans = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and "scan" in node.name]
+    assert [node.name for node in scans] == ["_scan_masks"]
+    assert not [node for node in ast.walk(scans[0])
+                if getattr(node, "id", None) == "FieldKind"
+                or getattr(node, "attr", None) == "kind"]
+    writers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+                    and getattr(node.slice, "value", None) == "cols"):
+                writers.add(path.name)
+    assert writers == {"matrices.py"}
+
+
 def test_value_classes_state_their_fields_once():
     # a value class names its fields in __slots__ alone: Value derives the
     # field tuple, the slot setters, equality, hashing, repr and pickling

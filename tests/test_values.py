@@ -282,6 +282,10 @@ def test_field_spec_errors(args, message):
         ((0, 1), "not a permutation of 1..2: (0, 1)"),
         ((2, 3), "not a permutation of 1..2: (2, 3)"),
         ([3, 1, 1], "not a permutation of 1..3: [3, 1, 1]"),
+        # entries that are no int, though 2.0 and True compare equal to one
+        ((2.0, 1.0), "not a permutation of 1..2: (2.0, 1.0)"),
+        ((True, 2), "not a permutation of 1..2: (True, 2)"),
+        (("2", 1), "not a permutation of 1..2: ('2', 1)"),
     ],
 )
 def test_row_permutation_errors(image, message):
@@ -301,6 +305,9 @@ def test_row_permutation_errors(image, message):
         (2, (-1, 0), "vertex 1: loop or vertex outside 1..2"),
         (2, (2, 0), "vertex 1: adjacency masks are not symmetric"),
         (3, (2, 1, 1), "vertex 1: adjacency masks are not symmetric"),
+        (2, (2.0, 1.0), "vertex 1: adjacency mask 2.0 is not an int"),
+        (2, (2, True), "vertex 2: adjacency mask True is not an int"),
+        (2, (2, None), "vertex 2: adjacency mask None is not an int"),
     ],
 )
 def test_simplicial_graph_errors(n, adj, message):

@@ -28,14 +28,14 @@ _EXPORTS = {
         "determinant", "matrix_from_csv_text", "permute_rows", "rank", "wrap_minor",
     ),
     "rowgraph": (
-        "SimplicialGraph", "graph_from_text", "is_cyclically_square_traceable",
-        "is_square_traceable", "null_connected", "opp_graph", "two_row_graph",
+        "SimplicialGraph", "graph_from_text", "is_square_traceable", "null_connected",
+        "opp_graph", "two_row_graph",
     ),
     "hamilton": ("PathWitness", "graph_hamiltonicity", "traceable_ordering"),
     "blocks": (
-        "BlockPartition", "OneBlock", "OneTrack", "TrackMember", "TrackString",
-        "block_partition", "complete_tracks", "det_by_tracks", "find_one_blocks",
-        "string_of", "track_of_string", "track_sum",
+        "BlockPartition", "OneBlock", "OneTrack", "TrackMember", "block_partition",
+        "complete_tracks", "det_by_tracks", "find_one_blocks", "track_of_string",
+        "track_sum",
     ),
     "raag": (
         "BasisMatrix", "PairingTriple", "basis_hamiltonian_witness",

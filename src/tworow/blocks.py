@@ -165,26 +165,6 @@ def _planned_track(members: tuple, cyclic: bool, plan: tuple) -> OneTrack:
     return track
 
 
-class TrackString(Value):
-    """The diagonal-style entry string picked by sigma: entry sigma(i) in column i."""
-
-    __slots__ = ("sigma", "entries")
-
-    def __init__(self, sigma: RowPermutation, entries: tuple[Scalar, ...]) -> None:
-        self._set(sigma, entries)
-
-
-def string_of(a: ExactMatrix, sigma: RowPermutation) -> TrackString:
-    if not a.is_square:
-        raise NotSquare("strings are defined for square matrices")
-    if sigma.n != a.n:
-        raise SizeMismatch(f"permutation size {sigma.n} != matrix size {a.n}")
-    entries = tuple(Scalar(a.spec, a.raw()[r - 1][c]) for c, r in enumerate(sigma.image))
-    if not all(entries):
-        raise ZeroEntryInString(f"string of {sigma.image} hits a zero entry")
-    return TrackString(sigma, entries)
-
-
 def _nonzero_runs(bits: int, n: int, cyclic: bool) -> list[tuple[int, int]]:
     """Maximal runs of set bits in the n-bit mask as (start0, length),
     length >= 2 only."""
@@ -310,16 +290,17 @@ def track_of_string(
 ) -> OneTrack:
     """The canonical complete track of the string picked by sigma: extend a
     run while consecutive string cells share one block, else cut."""
-    string_of(a, sigma)  # validates shape and nonzero entries
+    if not a.is_square:
+        raise NotSquare("strings are defined for square matrices")
+    if sigma.n != a.n:
+        raise SizeMismatch(f"permutation size {sigma.n} != matrix size {a.n}")
+    image = sigma.image
+    raw = a.raw()
+    if not all(raw[r - 1][c] for c, r in enumerate(image)):
+        raise ZeroEntryInString(f"string of {image} hits a zero entry")
     owner = _one_blocks(a, cyclic)[1]
-    return _track_on(owner, sigma.image, cyclic)
-
-
-def _track_on(owner, image: tuple[int, ...], cyclic: bool) -> OneTrack:
-    """track_of_string on the owner grid of the matrix, for callers that
-    classify many of its nonzero strings against one partition."""
     cells = [owner[r - 1][p] for p, r in enumerate(image)]
-    return _canonical_track(cells, image, cyclic, len(image))
+    return _canonical_track(cells, image, cyclic, a.n)
 
 
 def _check_enumerable(a: ExactMatrix, max_size: int) -> None:

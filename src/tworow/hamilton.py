@@ -35,12 +35,7 @@ from __future__ import annotations
 
 from .errors import AssertionFailure, NotSquare, Value
 from .matrices import ExactMatrix, RowPermutation, _rank_det, permute_rows
-from .rowgraph import (
-    SimplicialGraph,
-    is_cyclically_square_traceable,
-    is_square_traceable,
-    two_row_graph,
-)
+from .rowgraph import SimplicialGraph, is_square_traceable, two_row_graph
 
 MEMO_LIMIT = 20
 
@@ -256,8 +251,7 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
             )
         return None
     sigma = RowPermutation(witness.order)
-    check = is_cyclically_square_traceable if cyclic else is_square_traceable
-    if not check(permute_rows(a, sigma)):
+    if not is_square_traceable(permute_rows(a, sigma), cyclic):
         raise AssertionFailure(
             f"row order {sigma.image} is not square-traceable", matrix=a
         )

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import AssertionFailure, ParseError, SizeMismatch, Value
-from .fields import FieldSpec, is_prime
+from .fields import _MAX_PRIME, FieldSpec, is_prime
 from .hamilton import graph_hamiltonicity
 from .matrices import ExactMatrix, _eliminate, _eliminate_gf2
 from .rowgraph import two_row_graph
@@ -40,7 +40,8 @@ class ExperimentConfig(Value):
             raise SizeMismatch(f"trials must be >= 1, got {trials!r}")
         if type(seed) is not int:
             raise ParseError(f"seed must be an integer, got {seed!r}")
-        if type(q) is not int or not is_prime(q):
+        # is_prime is exact only below 3.2e9, and gf(q) needs q < 2**31
+        if type(q) is not int or q >= _MAX_PRIME or not is_prime(q):
             raise ParseError(f"field order must be prime, got {q!r}")
         if type(n) is not int or n < 2:
             raise SizeMismatch(f"experiments need n >= 2, got {n!r}")

@@ -28,9 +28,10 @@ plain masks ANDed row by row with the wrap masks: the cyclic graph costs
 one window more than the plain one.  Cached masks are tuples; callers get
 a new list each time.
 
-null_connected and the traceability checks, which traceable_ordering runs
-on its answer, read raw entries only, never the kernel or the memo, so
-they stay an independent check of both.
+null_connected and is_square_traceable, the one traceability check (plain
+or cyclic) that traceable_ordering runs on its answer, read raw entries
+only, never the kernel or the memo, so they stay an independent check of
+both.
 """
 
 from __future__ import annotations
@@ -418,31 +419,20 @@ def opp_graph(a: ExactMatrix, cyclic: bool = False) -> SimplicialGraph:
     return SimplicialGraph._make(a.m, tuple(row_null_masks(a, cyclic)))
 
 
-def is_square_traceable(a: ExactMatrix) -> bool:
-    """True iff rows in their given order form a path in the two-row graph:
-    every consecutive row pair spans some nonzero consecutive minor."""
+def is_square_traceable(a: ExactMatrix, cyclic: bool = False) -> bool:
+    """True iff rows in their given order form a path in the two-row graph,
+    or a cycle in the cyclic one when cyclic: every consecutive row pair,
+    and the pair (m, 1) when cyclic, spans some nonzero consecutive minor."""
     if not a.is_square:
         raise NotSquare("square-traceability is defined for square matrices")
+    if cyclic and a.n < 3:
+        raise DegenerateMatrix("cyclic traceability needs n >= 3")
     if a.n < 2:
         raise DegenerateMatrix("needs at least two columns")
     raw = a.raw()
     vanishes = _vanishes_fn(a)
+    # i = 0 pairs row m with row 1, which closes the cycle
     return all(
-        not _null_connected_raw(raw[i], raw[i + 1], vanishes, False)
-        for i in range(a.m - 1)
+        not _null_connected_raw(raw[i - 1], raw[i], vanishes, cyclic)
+        for i in range(0 if cyclic else 1, a.m)
     )
-
-
-def is_cyclically_square_traceable(a: ExactMatrix) -> bool:
-    """True iff rows in cyclic order form a cycle in the cyclic two-row graph."""
-    if not a.is_square:
-        raise NotSquare("square-traceability is defined for square matrices")
-    if a.n < 3:
-        raise DegenerateMatrix("cyclic traceability needs n >= 3")
-    raw = a.raw()
-    vanishes = _vanishes_fn(a)
-    for i in range(a.m):
-        j = (i + 1) % a.m
-        if _null_connected_raw(raw[i], raw[j], vanishes, True):
-            return False
-    return True

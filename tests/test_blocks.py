@@ -30,7 +30,6 @@ from tworow import (
     det_by_tracks,
     determinant,
     find_one_blocks,
-    string_of,
     track_of_string,
     track_sum,
 )
@@ -242,22 +241,25 @@ def test_zero_matrix_partition():
     assert len(part.zero_singletons) == 12
 
 
-def test_string_of_validation(golden_7x7):
+def test_track_of_string_validation(golden_7x7):
     sigma = RowPermutation((1, 4, 3, 2, 7, 5, 6))
-    s = string_of(golden_7x7, sigma)
-    assert len(s.entries) == 7 and all(s.entries)
+    assert track_of_string(golden_7x7, sigma).total_cols == 7
+    for cyclic in (False, True):  # (4,4) is zero
+        with pytest.raises(ZeroEntryInString, match=r"string of \(1, 2, 3, 4, 5, 6, 7\) hits"):
+            track_of_string(golden_7x7, RowPermutation.identity(7), cyclic)
+    with pytest.raises(NotSquare, match="strings are defined for square matrices"):
+        track_of_string(ExactMatrix(GF2, [[1, 0]]), RowPermutation.identity(1))
+    with pytest.raises(SizeMismatch, match="permutation size 6 != matrix size 7"):
+        track_of_string(golden_7x7, RowPermutation.identity(6))
+    # the check reads raw entries: over Q a zero entry is Fraction(0)
+    q_diag = ExactMatrix(QQ, [["1/2", "0"], ["0", "3"]])
     with pytest.raises(ZeroEntryInString):
-        string_of(golden_7x7, RowPermutation.identity(7))  # (4,4) is zero
-    with pytest.raises(NotSquare):
-        string_of(ExactMatrix(GF2, [[1, 0]]), RowPermutation.identity(1))
-    with pytest.raises(SizeMismatch):
-        string_of(golden_7x7, RowPermutation.identity(6))
-    # only the string's n cells are boxed, never the whole matrix
+        track_of_string(q_diag, RowPermutation((2, 1)))
     fresh = ExactMatrix(golden_7x7.spec, golden_7x7.raw())
-    assert string_of(fresh, sigma) == s
     assert track_of_string(fresh, sigma) == track_of_string(golden_7x7, sigma)
     with pytest.raises(ZeroEntryInString):
         track_of_string(fresh, RowPermutation.identity(7))
+    # the string is checked on raw entries: no cell of the matrix is boxed
     assert fresh._scalars is None
 
 
@@ -547,14 +549,10 @@ def test_string_partition_into_tracks(cyclic):
         raw = a.raw()
         strings = nonzero_strings(a)
         tracks = complete_tracks(a, cyclic)
-        # one partition per matrix, where track_of_string builds one per call
-        owner = block_partition(a, cyclic).owner
         by_track = {}
         for image in strings:
-            tr = blocks._track_on(owner, image, cyclic)
+            tr = track_of_string(a, RowPermutation(image), cyclic)
             by_track.setdefault(tr, []).append(image)
-        for image in strings[:1]:  # the public form, on the first string
-            assert track_of_string(a, RowPermutation(image), cyclic) == next(iter(by_track))
         # strings come in lexicographic order: tracks in first-seen order
         assert tracks == list(by_track)
         # member-wise bijection count: every track's string fiber is full

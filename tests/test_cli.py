@@ -146,8 +146,19 @@ def test_tracks_sigma_zero_entry(capsys):
     code, out, err = run_cli(
         capsys, "tracks", "--matrix", GOLDEN, "--sigma", "1,2,3,4,5,6,7"
     )
-    assert code == 2
-    assert err
+    assert code == 2 and out == ""
+    assert err == "error: string of (1, 2, 3, 4, 5, 6, 7) hits a zero entry\n"
+
+
+def test_tracks_sigma_wrong_size_or_shape(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "tracks", "--matrix", GOLDEN, "--sigma", "1,2,3")
+    assert code == 2 and out == ""
+    assert err == "error: permutation size 3 != matrix size 7\n"
+    path = tmp_path / "wide.csv"
+    path.write_text("1,0,1\n0,1,1\n")
+    code, out, err = run_cli(capsys, "tracks", "--matrix", str(path), "--sigma", "1,2")
+    assert code == 2 and out == ""
+    assert err == "error: strings are defined for square matrices\n"
 
 
 def test_tracks_enumeration_and_bound(capsys, tmp_path):

@@ -16,7 +16,6 @@ from tworow import (
     RowPermutation,
     SizeBound,
     graph_hamiltonicity,
-    is_cyclically_square_traceable,
     is_square_traceable,
     permute_rows,
     traceable_ordering,
@@ -178,8 +177,8 @@ def test_traceable_ordering_identity():
     assert sigma == RowPermutation.identity(6)
     sigma_c = traceable_ordering(ExactMatrix.identity(GF2, 6), cyclic=True)
     assert sigma_c is not None
-    assert is_cyclically_square_traceable(
-        permute_rows(ExactMatrix.identity(GF2, 6), sigma_c)
+    assert is_square_traceable(
+        permute_rows(ExactMatrix.identity(GF2, 6), sigma_c), cyclic=True
     )
 
 
@@ -208,7 +207,7 @@ def test_invertible_always_traceable(spec):
         if n >= 3:
             sigma_c = traceable_ordering(a, cyclic=True)
             assert sigma_c is not None
-            assert is_cyclically_square_traceable(permute_rows(a, sigma_c))
+            assert is_square_traceable(permute_rows(a, sigma_c), cyclic=True)
 
 
 @pytest.mark.parametrize("spec", [GF2, GF5])
@@ -222,7 +221,7 @@ def test_traceable_ordering_sparse_invertible(spec):
         assert is_square_traceable(permute_rows(a, sigma))
         sigma_c = traceable_ordering(a, cyclic=True)
         assert sigma_c is not None
-        assert is_cyclically_square_traceable(permute_rows(a, sigma_c))
+        assert is_square_traceable(permute_rows(a, sigma_c), cyclic=True)
 
 
 def witness_digest(matrices):

@@ -51,6 +51,9 @@ def test_config_validation():
         ExperimentConfig(3, 2.0, 20, 0, ExperimentMode.COMPLETENESS)
     with pytest.raises(ParseError, match="field order must be prime, got True"):
         ExperimentConfig(3, True, 20, 0, ExperimentMode.COMPLETENESS)
+    # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5 and 7
+    with pytest.raises(ParseError, match="field order must be prime, got 3215031751"):
+        ExperimentConfig(2, 3215031751, 1, 0, ExperimentMode.COMPLETENESS)
     with pytest.raises(SizeMismatch, match=r"trials must be >= 1, got 2\.5"):
         ExperimentConfig(3, 2, 2.5, 0, ExperimentMode.COMPLETENESS)
     with pytest.raises(SizeMismatch, match=r"trials must be >= 1, got 2\.0"):

@@ -18,7 +18,6 @@ from tworow import (
     SimplicialGraph,
     basis_support_graph,
     cup_pairing,
-    is_cyclically_square_traceable,
     is_square_traceable,
     null_connected,
     opp_graph,
@@ -133,25 +132,27 @@ def test_graph_matches_oracle_and_complements_opp(spec, cyclic):
 
 
 def test_square_traceable_definition(golden_7x7):
-    assert is_square_traceable(ExactMatrix.identity(GF2, 5))
-    assert is_cyclically_square_traceable(ExactMatrix.identity(GF2, 5))
-    # rows 6,7 are consecutive in the printed order and null-connected
-    assert not is_square_traceable(golden_7x7)
-    assert not is_cyclically_square_traceable(golden_7x7)
     reordered = permute_rows(golden_7x7, RowPermutation((1, 2, 3, 4, 6, 5, 7)))
-    assert is_square_traceable(reordered)
-    assert is_cyclically_square_traceable(reordered)
+    for cyclic in (False, True):
+        assert is_square_traceable(ExactMatrix.identity(GF2, 5), cyclic)
+        # rows 6,7 are consecutive in the printed order and null-connected
+        assert not is_square_traceable(golden_7x7, cyclic)
+        assert is_square_traceable(reordered, cyclic=cyclic)
 
 
 def test_traceable_degenerate_guards():
     from tworow import NotSquare
 
-    with pytest.raises(NotSquare):
-        is_square_traceable(ExactMatrix(GF2, [[1, 0, 1], [0, 1, 1]]))
-    with pytest.raises(DegenerateMatrix):
+    for cyclic in (False, True):
+        with pytest.raises(NotSquare, match="defined for square matrices"):
+            is_square_traceable(ExactMatrix(GF2, [[1, 0, 1], [0, 1, 1]]), cyclic)
+    with pytest.raises(DegenerateMatrix, match="needs at least two columns"):
         is_square_traceable(ExactMatrix(GF2, [[1]]))
-    with pytest.raises(DegenerateMatrix):
-        is_cyclically_square_traceable(ExactMatrix(GF2, [[1, 0], [0, 1]]))
+    # n = 2 is a path of two rows, but a cycle needs three
+    assert is_square_traceable(ExactMatrix.identity(GF2, 2))
+    for n in (1, 2):
+        with pytest.raises(DegenerateMatrix, match="cyclic traceability needs n >= 3"):
+            is_square_traceable(ExactMatrix.identity(GF2, n), cyclic=True)
 
 
 def test_traceable_matches_graph_adjacency():
@@ -167,7 +168,7 @@ def test_traceable_matches_graph_adjacency():
             expected_c = all(gc.has_edge(i, i + 1) for i in range(1, n)) and gc.has_edge(
                 1, n
             )
-            assert is_cyclically_square_traceable(a) == expected_c
+            assert is_square_traceable(a, cyclic=True) == expected_c
 
 
 def row_check_matrices(rng, spec):
@@ -232,10 +233,10 @@ def test_row_checks_match_brute_force(spec):
             sigma = traceable_ordering(a, cyclic)
             if sigma is not None:
                 orders.append(sigma.image)
-            check = is_cyclically_square_traceable if cyclic else is_square_traceable
             for order in orders:
                 b = permute_rows(a, RowPermutation(order))
-                assert check(b) == brute_traceable(b, cyclic), (b, cyclic)
+                want = brute_traceable(b, cyclic)
+                assert is_square_traceable(b, cyclic) == want, (b, cyclic)
 
 
 def test_row_graph_helpers():

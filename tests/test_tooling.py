@@ -311,7 +311,7 @@ def test_memo_keys_are_documented():
 # the raw-entry row checks behind the traceability postcondition, and the
 # kernel and memo names they must not use
 RAW_ROW_CHECKS = {"_null_connected_raw", "_vanishes_fn", "null_connected",
-                  "is_square_traceable", "is_cyclically_square_traceable"}
+                  "is_square_traceable"}
 KERNEL_NAMES = {"_memo", "_scan_masks", "null_masks", "row_null_masks",
                 "_int_rows", "_projective_classes"}
 
@@ -428,7 +428,7 @@ def test_value_classes_state_their_fields_once():
         size = len(values)
         values |= {name for name, (_, node) in classes.items()
                    if any(getattr(base, "id", None) in values for base in node.bases)}
-    assert len(values) == 15  # Value and its 14 subclasses
+    assert len(values) == 14  # Value and its 13 subclasses
     derived = {"_key", "__eq__", "__hash__", "__repr__", "__reduce__"}
     for name in values - {"Value"}:
         file, node = classes[name]

@@ -33,7 +33,6 @@ from tworow import (
     SingularBasis,
     SizeMismatch,
     TrackMember,
-    TrackString,
 )
 from tworow.errors import Value
 
@@ -84,12 +83,6 @@ CASES = {
         ((MEMBER,), True),
         "OneTrack(members=(TrackMember(rows=(1, 2), col_start=1, col_len=2),"
         " TrackMember(rows=(3,), col_start=3, col_len=1)), cyclic=False)",
-    ),
-    TrackString: (
-        ("sigma", "entries"), (RowPermutation((1, 2)), (GF2.one, GF2.one)),
-        (RowPermutation((2, 1)), (GF2.one,)),
-        "TrackString(sigma=RowPermutation(image=(1, 2)),"
-        " entries=(Scalar(gf2, 1), Scalar(gf2, 1)))",
     ),
     PairingTriple: (
         ("spec", "n", "edges"), (GF3, 3, ((1, 2), (2, 3))), (QQ, 4, ((1, 2),)),

@@ -24,16 +24,22 @@ det_by_tracks is a subset DP over the columns that sums the narrow and the
 wide strings apart, returns the first and checks that the second is zero.
 A track sum is a generalized Laplace product: the sign of one string of the
 track times its member minors; it is the one sum of a track.  All it needs
-of the track, its plan, depends on the track alone; the track list hands each
-narrow track out with its plan, so its sum only multiplies entries, and its
-value, reduced already, becomes a Scalar through the trusted Scalar._of.
+of the track, its plan, depends on the track alone; the track list and
+track_of_string hand every track out with its plan, built from the string
+that met it, so its sum only multiplies entries and eliminates its minors,
+and its value, reduced already, becomes a Scalar through the trusted
+Scalar._of.  Only a track built by the caller derives its plan.
 Only the track list walks strings, with no products.  Like the DP it goes
-column by column, but it keeps every prefix, one list of them per column in
-lexicographic order, where the DP merges prefixes on their used rows; it
-meets each track once at its smallest string, closes the last column in its
-final loop, hands a narrow string out as a track of its own and
-canonicalizes only wide ones.  The DP and the walk place row r with one
-sign flip per used row of larger index.
+column by column, but it keeps every prefix, with its 1x1 members, one list
+of them per column in lexicographic order, where the DP merges prefixes on
+their used rows; it meets each track once at its smallest string, closes
+the last column in its final loop, hands a narrow string out as a track of
+its own and canonicalizes only wide ones.  The DP and the walk place row r
+with one sign flip per used row of larger index.
+
+Every function taking the cyclic flag runs _one_blocks, which rejects a
+flag that is not a bool with ParseError, and the enumerations reject a
+max_size that is not an int, so that neither is stored or read as given.
 """
 
 from __future__ import annotations
@@ -47,13 +53,20 @@ from .errors import (
     DegenerateMatrix,
     IncompleteTrack,
     NotSquare,
+    ParseError,
     SizeBound,
     SizeMismatch,
     Value,
     ZeroEntryInString,
 )
 from .fields import Scalar
-from .matrices import ExactMatrix, RowPermutation, _eliminate, image_sign
+from .matrices import (
+    _BINARY_DIGITS,
+    ExactMatrix,
+    RowPermutation,
+    _eliminate,
+    image_sign,
+)
 from .rowgraph import row_null_masks
 
 DEFAULT_TRACK_BOUND = 8
@@ -130,9 +143,9 @@ class OneTrack(Value):
     """A chain of track members; complete on n columns when theirs sum to n.
 
     _plan is a slot but not a field, so equality, hashing, repr and pickling
-    leave it out; __init__ sets it to None, and complete_tracks sets it,
-    through OneTrack._setters, to _track_plan of each narrow track it hands
-    out."""
+    leave it out; __init__ sets it to None, and complete_tracks and
+    track_of_string set it, through OneTrack._setters, to what _track_plan
+    would derive for each track they hand out."""
 
     __slots__ = ("members", "cyclic", "_plan")
 
@@ -151,12 +164,23 @@ class OneTrack(Value):
         return any(m.is_minor for m in self.members)
 
 
-# OneTrack's slot setters, called directly: complete_tracks makes a track
-# per leaf, and the generic loop of Value._make costs it measurably more.
+# The slot setters of TrackMember and OneTrack, called directly:
+# complete_tracks makes a member per nonzero cell and a track per leaf, and
+# the generic loop of Value._make costs it measurably more.
+_set_rows, _set_col_start, _set_col_len = TrackMember._setters
 _set_members, _set_cyclic, _set_plan = OneTrack._setters
 
 
-def _planned_track(members: tuple, cyclic: bool, plan: tuple) -> OneTrack:
+def _member(rows: tuple, col_start: int, col_len: int) -> TrackMember:
+    """The member with these fields, unchecked."""
+    member = object.__new__(TrackMember)
+    _set_rows(member, rows)
+    _set_col_start(member, col_start)
+    _set_col_len(member, col_len)
+    return member
+
+
+def _planned_track(members: tuple, cyclic: bool, plan: tuple | None) -> OneTrack:
     """The track with its plan given, unchecked."""
     track = object.__new__(OneTrack)
     _set_members(track, members)
@@ -205,14 +229,22 @@ def _one_blocks(
     two or more columns, is a block.  A row null-connected to no other row
     is in no block.
     """
+    if type(cyclic) is not bool:
+        raise ParseError(f"cyclic must be a bool, got {cyclic!r}")
     m, n = a.m, a.n
     masks = row_null_masks(a, cyclic)
-    raw = a.raw()
+    held = [i for i, mask in enumerate(masks) if mask]
     sharing: dict[tuple[int, int], int] = {}  # run -> bitmask of its rows
-    for i, mask in enumerate(masks):
-        if mask:
-            bits = sum(1 << k for k, v in enumerate(raw[i]) if v)
-            for run in _nonzero_runs(bits, n, cyclic):
+    if held:  # else no row is in a block
+        ints = a._int_rows()[0]
+        p = a.spec.p
+        small = p is not None and p < 256
+        for i in held:
+            # the row's bytes as _col_masks reads them, last column first,
+            # so that bit k of the mask is column k + 1
+            row = ints[i][::-1]
+            digits = bytes(row) if small else bytes(map(bool, row))
+            for run in _nonzero_runs(int(digits.translate(_BINARY_DIGITS), 2), n, cyclic):
                 sharing[run] = sharing.get(run, 0) | 1 << i
     found = []
     for (start0, length), rows in sharing.items():
@@ -260,29 +292,50 @@ def block_partition(a: ExactMatrix, cyclic: bool = False) -> BlockPartition:
     return BlockPartition(blocks, tuple(nonzero_single), tuple(zero_single), owner)
 
 
-def _canonical_track(cells: list, image: list | tuple, cyclic: bool, n: int) -> OneTrack:
-    """Greedy maximal same-block runs over the string's cells.
+def _canonical_track(cells: list, rows, cyclic: bool, n: int, sign: int) -> OneTrack:
+    """Greedy maximal same-block runs over the string's cells, as a track
+    with its plan.
 
-    cells[p] is the index of the block holding (image[p], p+1), or -1.
-    merged[p] says column p+2 continues the run of column p+1.  The plain
-    case is the cyclic one with no wrap merge, and so is a run all the way
-    round, which starts at column 1.
+    rows[p] is the 0-based row of the string in column p+1, sign the
+    string's sign, and cells[p] the index of the block holding that cell,
+    or -1.  merged[p] says column p+2 continues the run of column p+1.  The
+    plain case is the cyclic one with no wrap merge, and so is a run all the
+    way round, which starts at column 1.  The plan's string puts each
+    member's rows in ascending order down its columns, from col_start on;
+    reordering a run's rows so flips the sign once per inversion among them,
+    as they lie from col_start on.  A track on more than DEFAULT_TRACK_BOUND
+    columns with a minor is left without a plan, so that track_sum derives
+    it and checks the bound on its strings.
     """
     merged = [cells[p] >= 0 and cells[p] == cells[p + 1] for p in range(n - 1)]
     wrap = cyclic and cells[-1] >= 0 and cells[-1] == cells[0]
     merged.append(wrap and not all(merged))
     # walk once around from the first column that starts a run
     first = merged.index(False) + 1 if merged[-1] else 0
-    members = []
-    rows: list[int] = []
+    members, singles, minors = [], [], []
+    run: list[int] = []
     for q in range(first, first + n):
         p = q % n
-        rows.append(image[p])
-        if not merged[p]:
-            k = len(rows)
-            members.append(TrackMember(tuple(sorted(rows)), (p + 1 - k) % n + 1, k))
-            rows = []
-    return OneTrack(tuple(members), cyclic)
+        run.append(rows[p])
+        if merged[p]:
+            continue
+        k = len(run)
+        if k == 1:
+            members.append(_member((run[0] + 1,), p + 1, 1))
+            singles.append(p)
+        else:
+            ordered = tuple(sorted(run))
+            if sum(later < r for t, r in enumerate(run) for later in run[t + 1:]) & 1:
+                sign = -sign
+            span = tuple((p + 1 - k + t) % n for t in range(k))
+            members.append(_member(tuple(r + 1 for r in ordered), span[0] + 1, k))
+            minors.append((ordered, span))
+        run = []
+    if minors and n > DEFAULT_TRACK_BOUND:
+        return _planned_track(tuple(members), cyclic, None)
+    singles.sort()
+    plan = (n, tuple([rows[c] for c in singles]), tuple(singles), tuple(minors), sign)
+    return _planned_track(tuple(members), cyclic, plan)
 
 
 def track_of_string(
@@ -299,11 +352,14 @@ def track_of_string(
     if not all(raw[r - 1][c] for c, r in enumerate(image)):
         raise ZeroEntryInString(f"string of {image} hits a zero entry")
     owner = _one_blocks(a, cyclic)[1]
-    cells = [owner[r - 1][p] for p, r in enumerate(image)]
-    return _canonical_track(cells, image, cyclic, a.n)
+    rows = [r - 1 for r in image]
+    cells = [owner[r][p] for p, r in enumerate(rows)]
+    return _canonical_track(cells, rows, cyclic, a.n, sigma.sign())
 
 
 def _check_enumerable(a: ExactMatrix, max_size: int) -> None:
+    if type(max_size) is not int:
+        raise ParseError(f"max_size must be an int, got {max_size!r}")
     if not a.is_square:
         raise NotSquare("track enumeration needs a square matrix")
     if a.n > max_size:
@@ -361,8 +417,8 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     The sum is then the generalized Laplace product: the sign of one string
     of the track times the member minors, rows and columns in member order.
     All of that but the entries is the track's plan, _track_plan, which
-    complete_tracks hands out with each narrow track; other tracks derive
-    it on every call.
+    complete_tracks and track_of_string hand out with every track they make;
+    a track built by the caller derives it on every call.
     The 1x1 members are one product over the matrix's cached column view,
     _int_cols, each column's entry in its member's row: the whole view when
     they fill every column, as in every narrow track, else the columns
@@ -373,10 +429,13 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     if a.m != n:
         raise NotSquare("track sums are defined for square matrices")
     plan = track._plan
-    k = track.total_cols if plan is None else plan[0]
+    if plan is None:
+        k = track.total_cols
+        # IncompleteTrack comes before the SizeBound _track_plan may raise
+        plan = _track_plan(track) if k == n else (k, None, None, None, 0)
+    k, rows, cols, minors, sign = plan
     if k != n:
         raise IncompleteTrack(f"track covers {k} of {n} columns")
-    _, rows, cols, minors, sign = plan or _track_plan(track)
     spec = a.spec
     if rows is None:
         return spec.zero
@@ -389,46 +448,51 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     return Scalar._of(spec, value % p if p else Fraction(value, scale))
 
 
+def _singles(col_nonzero: int, c: int, n: int) -> list:
+    """singles[r]: the 1x1 member on cell (r+1, c+1) when col_nonzero has
+    row r, else None."""
+    return [_member((r + 1,), c + 1, 1) if col_nonzero >> r & 1 else None for r in range(n)]
+
+
 def complete_tracks(
     a: ExactMatrix, cyclic: bool = False, max_size: int = DEFAULT_TRACK_BOUND
 ) -> list[OneTrack]:
     """Distinct canonical tracks of all nonzero strings, each met once, at
-    its lexicographically smallest string, in the order of those strings.
+    its lexicographically smallest string, in the order of those strings,
+    each with its plan.
 
     A track's strings permute each member's rows over its columns, so the
     smallest has each member's rows ascending and, for a cyclic member
     wrapping past column n, its head rows (columns 1..j) below its tail rows
     (columns k..n).  The walk goes column by column, keeping one list of
-    prefix states (used, rows, last, wide, odd): the used rows as a bitmask,
-    the 0-based rows taken so far, the block (or -1) of the last cell,
-    whether two consecutive cells share a block, and the parity of the
-    inversions.  Each state, in order, is extended by the free nonzero rows
-    of the next column, smallest first, so every list is in lexicographic
-    order; a row below the previous one in the same block is never placed,
-    which cuts every string under it.  The last column has one row left, so
-    the final loop closes each state in place, and keeps a string whose wrap
-    pair shares a block only if its last head row is below its first tail
-    row or the run covers every column.  A narrow string (no two
-    consecutive cells, closed when cyclic, in one block) is a track of its
-    own, all 1x1 members, and leaves with its plan; only wide strings go
-    through _canonical_track, and their track_sum derives their plan."""
+    prefix states (used, rows, members, last, wide, odd): the used rows as a
+    bitmask, the 0-based rows taken so far, their 1x1 members, the block
+    (or -1) of the last cell, whether two consecutive cells share a block,
+    and the parity of the inversions.  Each state, in order, is extended by
+    the free nonzero rows of the next column, smallest first, so every list
+    is in lexicographic order; a row below the previous one in the same
+    block is never placed, which cuts every string under it.  A column's
+    1x1 members are made once, when the walk reaches it.  The last column
+    has one row left, so the final loop closes each state in place, and
+    keeps a string whose wrap pair shares a block only if its last head row
+    is below its first tail row or the run covers every column.  A narrow
+    string (no two consecutive cells, closed when cyclic, in one block) is
+    a track of its own, its prefix's members and one more, and its plan is
+    its rows and sign; a wide string goes through _canonical_track, which
+    builds its members and plan from the string and its sign."""
     _check_enumerable(a, max_size)
     n = a.n
     owner = _one_blocks(a, cyclic)[1]
-    # zero where the raw entries are zero, over Q too
-    columns = a._int_cols()[0]
     blocks_by_column = tuple(zip(*owner))
-    # single_by_column[c][r]: the 1x1 member on the nonzero cell (r+1, c+1),
-    # made at the first narrow string
-    single_by_column = None
     nonzero = a._col_masks()
-    states = [(0, (), -1, False, 0)]
+    states = [(0, (), (), -1, False, 0)]
     for c in range(n - 1):
         col_blocks = blocks_by_column[c]
         col_nonzero = nonzero[c]
+        singles = _singles(col_nonzero, c, n)
         extended = []
         push = extended.append
-        for used, rows, last, wide, odd in states:
+        for used, rows, members, last, wide, odd in states:
             free = col_nonzero & ~used
             while free:
                 bit = free & -free
@@ -436,19 +500,26 @@ def complete_tracks(
                 r = bit.bit_length() - 1
                 b = col_blocks[r]
                 if b != last or b < 0:
-                    push((used | bit, rows + (r,), b, wide, odd ^ (used >> r).bit_count() & 1))
+                    push((used | bit, rows + (r,), members + (singles[r],), b, wide,
+                          odd ^ (used >> r).bit_count() & 1))
                 elif r > rows[-1]:  # in the last cell's block, rows ascend
-                    push((used | bit, rows + (r,), b, True, odd ^ (used >> r).bit_count() & 1))
+                    push((used | bit, rows + (r,), members + (singles[r],), b, True,
+                          odd ^ (used >> r).bit_count() & 1))
         states = extended
+        if not states:
+            return []
     col_blocks = blocks_by_column[-1]
     col_nonzero = nonzero[-1]
+    singles = _singles(col_nonzero, n - 1, n)
     full = (1 << n) - 1
     cols = tuple(range(n))
     out = []
+    add = out.append
+    new = object.__new__
     # popped in order, so that each state is freed as its track is made
     states.reverse()
     while states:
-        used, rows, last, wide, odd = states.pop()
+        used, rows, members, last, wide, odd = states.pop()
         r = (full ^ used).bit_length() - 1
         if not col_nonzero >> r & 1:
             continue
@@ -457,24 +528,21 @@ def complete_tracks(
         if same and r < rows[-1]:
             continue
         rows += (r,)
+        # the rows of larger index than r are all used: n - 1 - r of them
+        sign = -1 if odd ^ (n - 1 - r) & 1 else 1
         wrap = cyclic and b >= 0 and owner[rows[0]][0] == b
         if not (wrap or same or wide):
-            # the rows of larger index than r are all used: n - 1 - r of them
-            plan = (n, rows, cols, (), -1 if odd ^ (n - 1 - r) & 1 else 1)
-            if single_by_column is None:
-                make = TrackMember._make
-                single_by_column = [
-                    [make((r + 1,), c, 1) if v else None for r, v in enumerate(col)]
-                    for c, col in enumerate(columns, 1)
-                ]
-            members = tuple(map(getitem, single_by_column, rows))
-            out.append(_planned_track(members, cyclic, plan))
+            track = new(OneTrack)
+            _set_members(track, members + (singles[r],))
+            _set_cyclic(track, cyclic)
+            _set_plan(track, (n, rows, cols, (), sign))
+            add(track)
         else:
             cells = [owner[r][c] for c, r in enumerate(rows)]
             # wrap pair in block b: head ends before other[0], tail starts after other[-1]
             other = [t for t, e in enumerate(cells) if e != b] if wrap else []
             if not other or rows[other[0] - 1] < rows[other[-1] + 1]:
-                out.append(_canonical_track(cells, [r + 1 for r in rows], cyclic, n))
+                add(_canonical_track(cells, rows, cyclic, n, sign))
     return out
 
 

@@ -21,6 +21,7 @@ from tworow import (
     IncompleteTrack,
     NotSquare,
     OneTrack,
+    ParseError,
     RowPermutation,
     SizeBound,
     SizeMismatch,
@@ -693,29 +694,86 @@ def track_pin_matrices():
 
 def test_track_sums_pinned():
     # every track of complete_tracks with its sum, and det_by_tracks, plain
-    # and cyclic, on track_pin_matrices, by one digest.  Each narrow track
-    # comes with its plan, which must be the one _track_plan derives for an
-    # equal track, its sign that of the track's one string; a wide track
-    # comes with none and is given none by its sum
+    # and cyclic, on track_pin_matrices, by one digest.  Every track comes
+    # with its plan, which must be the one _track_plan derives for an equal
+    # track; a narrow track's sign is that of its one string
     digest = hashlib.sha256()
     narrow = wide = 0
     for a in track_pin_matrices():
         for cyclic in (False, True):
             for t in complete_tracks(a, cyclic):
+                assert t._plan == blocks._track_plan(OneTrack(t.members, t.cyclic))
                 if t.has_minor:
-                    assert t._plan is None
                     wide += 1
                 else:
-                    assert t._plan == blocks._track_plan(OneTrack(t.members, t.cyclic))
                     assert t._plan[4] == perm_parity(tuple(m.rows[0] for m in t.members))
                     narrow += 1
                 digest.update(json.dumps([repr(t), str(track_sum(a, t))]).encode())
-                assert t.has_minor == (t._plan is None)
             digest.update(str(det_by_tracks(a, cyclic)).encode())
     assert (narrow, wide) == (60010, 8673)
     assert digest.hexdigest() == (
         "ccb7079420ca705a3a5e5048b84bb49b873491346447c2f2e2552cae94de821b"
     )
+
+
+def test_listed_tracks_sum_as_fresh_ones():
+    # a listed track's plan is built by the walk, a fresh equal track's is
+    # derived by track_sum: the two sums agree on every track, plain and
+    # cyclic, wide ones included; and track_of_string hands out the same
+    # plan at every string of the track, not only its smallest
+    wide = 0
+    for a in track_pin_matrices():
+        for cyclic in (False, True):
+            for t in complete_tracks(a, cyclic):
+                wide += t.has_minor
+                assert track_sum(a, t) == track_sum(a, OneTrack(t.members, t.cyclic))
+        if a.n <= 3 or a.n == 4 and a.spec is not GF2:
+            for image in nonzero_strings(a):
+                for cyclic in (False, True):
+                    t = track_of_string(a, RowPermutation(image), cyclic)
+                    assert t._plan == blocks._track_plan(OneTrack(t.members, t.cyclic))
+    assert wide
+
+
+def test_wrap_member_plan():
+    # a cyclic block on columns 3, 1: the walk meets its track at the string
+    # (1, 3, 2), head row 1 in column 1 below tail row 2 in column 3, but the
+    # plan's string puts the member's rows ascending from column 3 on, (2, 3,
+    # 1), of the other sign; the sum is 2 * 1 * 1 - 1 * 1 * 2 = 0
+    a = ExactMatrix(GF3, [[1, 0, 1], [2, 0, 2], [0, 1, 0]])
+    (t,) = complete_tracks(a, True)
+    assert t == T(True, ((3,), 2, 1), ((1, 2), 3, 2))
+    assert t._plan == blocks._track_plan(OneTrack(t.members, True))
+    assert t._plan[4] == perm_parity((2, 3, 1)) == -perm_parity((1, 3, 2))
+    for image in ((1, 3, 2), (2, 3, 1)):
+        assert track_of_string(a, RowPermutation(image), True)._plan == t._plan
+    assert track_sum(a, t) == GF3.zero == det_by_tracks(a, True)
+
+
+@pytest.mark.parametrize("flag", ["yes", "no", 0, 1, None, 1.0])
+def test_non_bool_cyclic_rejected(golden_7x7, flag):
+    # a flag stored as given would be written out as such, and "no" would
+    # run the cyclic walk
+    a = golden_7x7
+    sigma = RowPermutation(nonzero_strings(a)[0])
+    calls = [
+        lambda: find_one_blocks(a, flag),
+        lambda: block_partition(a, flag),
+        lambda: track_of_string(a, sigma, flag),
+        lambda: complete_tracks(a, flag),
+        lambda: det_by_tracks(a, flag),
+    ]
+    for call in calls:
+        with pytest.raises(ParseError, match="cyclic"):
+            call()
+
+
+@pytest.mark.parametrize("bound", [True, False, 2.5, 8.0, "8", None])
+def test_non_int_track_bound_rejected(bound):
+    a = ExactMatrix.identity(GF3, 3)
+    for enumerate_tracks in (complete_tracks, det_by_tracks):
+        with pytest.raises(ParseError, match="max_size"):
+            enumerate_tracks(a, False, bound)
 
 
 def test_track_sums_are_canonical():

@@ -304,13 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_matrix_flags(p, with_cyclic=True):
+    def add_matrix_flags(p):
         p.add_argument("--matrix", required=True, help="matrix file (JSON or CSV)")
         p.add_argument("--field", help="field name for CSV input: gf2, gf(p), q")
-        if with_cyclic:
-            p.add_argument(
-                "--cyclic", action="store_true", help="use the cyclic column order"
-            )
+        p.add_argument("--cyclic", action="store_true", help="use the cyclic column order")
 
     p = sub.add_parser("graph", help="two-row graph of a matrix")
     add_matrix_flags(p)

@@ -152,12 +152,9 @@ def parse_field(name: str) -> FieldSpec:
         return QQ
     m = _FIELD_NAME_RE.match(text)
     if m:
-        p = int(m.group(1))
-        if p == 2:
-            return GF2
         try:
-            return FieldSpec.gf(p)
-        except ParseError:
+            return FieldSpec.gf(int(m.group(1)))
+        except ValueError:  # ParseError, or int() past its digit limit
             raise ParseError(f"field name {name!r} does not name a prime field")
     raise ParseError(f"unknown field name {name!r}; expected gf2, gf(p), or q")
 

@@ -10,12 +10,12 @@ the matrix.  Its keys are fixed: "ints", the integer rows (_int_rows);
 the view that the track sums, the track list and det_by_tracks read;
 "rank_det", the (rank, determinant) pair of _rank_det; "cols", one row
 bitmask per column, bit i set where row i is nonzero, over every field
-(_col_masks), which the null-mask scan, the GF(2) elimination and the
-track list read; and, filled by rowgraph, "plain" and "wrap", the row null
-masks on the consecutive column windows and on the wrap window (n, 1)
-alone, and "windows", the masks on the one window set most recently passed
-to rowgraph.null_masks, with that set.  Only this module and rowgraph read
-or write it, and only this module writes "cols".
+(_col_masks), which the null-mask scan, the GF(2) elimination, the
+1-blocks and the track list read; and, filled by rowgraph, "plain" and
+"wrap", the row null masks on the consecutive column windows and on the
+wrap window (n, 1) alone, and "windows", the masks on the one window set
+most recently passed to rowgraph.null_masks, with that set.  Only this
+module and rowgraph read or write it, and only this module writes "cols".
 
 determinant and rank are one elimination core behind a field dispatch.
 _eliminate runs on int rows: modulo p on rows packed into ints, one lane

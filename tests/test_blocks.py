@@ -108,8 +108,10 @@ def planted_blocks(rng, spec, m, n):
     overwrites some of their cells."""
     if spec is QQ:
         values = [Fraction(v) for v in ("1", "-1", "2", "1/2", "-3/4")]
-    else:
+    elif spec.p < 256:
         values = list(range(1, spec.p))
+    else:  # entries on either side of one byte, and the largest residue
+        values = [1, 2, 255, 256, 65537, spec.p - 1]
     rows = [[0 if rng.random() < 1 / 3 else rng.choice(values) for _ in range(n)]
             for _ in range(m)]
     for _ in range(rng.randint(0, 3) if m >= 2 else 0):
@@ -127,7 +129,8 @@ def planted_blocks(rng, spec, m, n):
     return ExactMatrix(spec, rows)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS)
+# entries of 256 and more, over the largest prime field, as well
+@pytest.mark.parametrize("spec", ALL_SPECS + [FieldSpec.gf(2147483647)])
 @pytest.mark.parametrize("cyclic", [False, True])
 def test_blocks_match_brute_force(spec, cyclic):
     rng = random.Random(97 if cyclic else 96)
@@ -766,6 +769,38 @@ def test_non_bool_cyclic_rejected(golden_7x7, flag):
     for call in calls:
         with pytest.raises(ParseError, match="cyclic"):
             call()
+
+
+ONE_GF3 = ExactMatrix(GF3, [[1]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OneTrack((TrackMember((1,), 1, 1),), "no"),
+        lambda: OneTrack((TrackMember((1,), 1, 1),), 1),
+        lambda: OneBlock((1, 2), 1, 2, "yes"),
+        lambda: OneBlock((1, 2), 1, 2, None),
+        lambda: TrackMember((1,), 1.5, True),
+        lambda: TrackMember((1,), 1, True),
+        lambda: TrackMember((True,), 1, 1),
+        # track_sum raised a bare TypeError on these once they constructed
+        lambda: track_sum(ONE_GF3, OneTrack((TrackMember((1,), 1.5, True),), False)),
+        lambda: track_sum(ONE_GF3, OneTrack((TrackMember((1.0,), 1, 1),), False)),
+        lambda: TrackMember([1], 1, 1),
+        lambda: OneBlock((1, 2), 1, 2.0, False),
+        lambda: OneBlock((1, "2"), 1, 2, False),
+        lambda: OneTrack((((1,), 1, 1),), False),
+        lambda: OneTrack([TrackMember((1,), 1, 1)], False),
+        lambda: OneTrack((OneBlock((1,), 1, 1, False),), False),
+    ],
+)
+def test_value_constructors_check_field_types(build):
+    # a field stored as given would be written out or summed as such:
+    # "cyclic": "yes" in JSON, or a bare TypeError out of track_sum; range
+    # and fit stay track_sum's to judge, so MALFORMED_TRACKS construct
+    with pytest.raises(ParseError):
+        build()
 
 
 @pytest.mark.parametrize("bound", [True, False, 2.5, 8.0, "8", None])

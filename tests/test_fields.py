@@ -56,6 +56,8 @@ def test_parse_field_names():
         parse_field("gf(6)")
     with pytest.raises(ParseError):
         parse_field("reals")
+    with pytest.raises(ParseError):  # more digits than int() converts
+        parse_field("gf(" + "7" * 5000 + ")")
 
 
 def test_scalar_canonicalization():

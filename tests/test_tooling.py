@@ -394,7 +394,8 @@ def test_one_scan_for_every_field_and_one_writer_of_column_masks():
     # the null masks of every field come from one kernel on the column
     # masks, with no fork by field in it: a second scan function would be a
     # near-copy to keep in step; and the masks are built in one place, so
-    # no caller keeps a second recipe for them
+    # no caller keeps a second recipe for them: only matrices writes
+    # "cols" or names the byte table the masks are read through
     tree = ast.parse((SRC / "rowgraph.py").read_text())
     scans = [node for node in tree.body
              if isinstance(node, ast.FunctionDef) and "scan" in node.name]
@@ -402,13 +403,17 @@ def test_one_scan_for_every_field_and_one_writer_of_column_masks():
     assert not [node for node in ast.walk(scans[0])
                 if getattr(node, "id", None) == "FieldKind"
                 or getattr(node, "attr", None) == "kind"]
-    writers = set()
+    writers, namers = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
                     and getattr(node.slice, "value", None) == "cols"):
                 writers.add(path.name)
+            if "_BINARY_DIGITS" in (getattr(node, "id", None), getattr(node, "name", None),
+                                    getattr(node, "attr", None)):
+                namers.add(path.name)
     assert writers == {"matrices.py"}
+    assert namers == {"matrices.py"}
 
 
 def test_value_classes_state_their_fields_once():

@@ -17,13 +17,16 @@ children, so a forced move costs no search.  Reachability carries over too:
 a tested parent reached every free vertex from its last vertex, and each
 such path leaves that vertex through the child's last vertex or through one
 of the parent's other free neighbours, so the child need only reach those
-neighbours, and its search stops there.  When pruning switches on at the
-search's first dead end, the search walks the current start's greedy path
-again from the start, and the test cuts it at its highest failing state
-instead of backtracking it level by level; a cycle search's full path that
-does not close switches pruning on without this restart.  Only the greedy
-path was explored before, and the test only cuts states with no
-completion, so neither the restart nor the test ever changes the witness.
+neighbours, and its search stops there.  Once pruning is on, every state
+on the path has passed the test but the start, whose pool is every
+vertex: its ends are the graph's leaves, and its children must reach
+every free vertex.  Pruning switches on at the search's first dead end,
+which for a cycle may follow a full path that does not close; the search
+then walks the current start's greedy path again from the start, and the
+test cuts it at its highest failing state instead of backtracking it
+level by level.  Only the greedy path was explored before, and the test
+only cuts states with no completion, so neither the restart nor the test
+ever changes the witness.
 Up to MEMO_LIMIT vertices a dead-state memo on (visited bitmask, last
 vertex) also skips states already known to fail, shared by all start
 vertices of a path search.  No recursion is involved, so any graph size is
@@ -34,8 +37,8 @@ SimplicialGraph's adjacency masks as they are stored.
 from __future__ import annotations
 
 from .errors import AssertionFailure, NotSquare, Value
-from .matrices import ExactMatrix, RowPermutation, _rank_det, permute_rows
-from .rowgraph import SimplicialGraph, is_square_traceable, two_row_graph
+from .matrices import ExactMatrix, RowPermutation, _rank_det
+from .rowgraph import SimplicialGraph, _rows_traceable, _vanishes_fn, two_row_graph
 
 MEMO_LIMIT = 20
 
@@ -51,19 +54,23 @@ class PathWitness(Value):
 
     def is_valid_for(self, g: SimplicialGraph) -> bool:
         order = self.order
-        n = g.n
-        if len(order) != n:
-            return False
-        seen = 0
-        for v in order:
-            if not 1 <= v <= n:
-                return False
-            seen |= 1 << v
-        if seen != (1 << n + 1) - 2:  # some vertex twice
+        if not _is_order(order, g.n):
             return False
         adj = g.adj
         ends = order[1:] + order[:1] if self.closed else order[1:]
         return all(adj[i - 1] >> (j - 1) & 1 for i, j in zip(order, ends))
+
+
+def _is_order(order: tuple[int, ...], n: int) -> bool:
+    """Whether order lists each of 1..n exactly once."""
+    if len(order) != n:
+        return False
+    seen = 0
+    for v in order:
+        if not 1 <= v <= n:
+            return False
+        seen |= 1 << v
+    return seen == (1 << n + 1) - 2  # else some vertex twice
 
 
 def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
@@ -83,14 +90,21 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
     met those other free neighbours (others): the parent reached each free
     vertex v by a path, and after the last vertex of that path that is the
     child or in others, the path runs through the child's free vertices
-    alone, so a child that reaches others reaches v.  A child of an
-    untested state runs the same loop from no ends over every free vertex,
-    with others every free vertex, so _reaches runs the full test.  The
-    untested states are each start and, when a cycle's full path that does
-    not close switched pruning on, the states on that path.  When a dead
-    end switches it on, the search starts the current start again with
-    every state untested, so the greedy path it had walked meets the test
-    from its first move on.
+    alone, so a child that reaches others reaches v.
+
+    There are no untested states.  A start's pool is every vertex, so its
+    ends are the vertices of degree < 2 other than itself: leaves in a
+    path search, and none in a cycle search, which rejects a graph with
+    such a vertex before it starts.  Its
+    children update those ends on the start's free neighbours like any
+    other child, but no test showed that the start reaches its free
+    vertices, so _reaches must take them from the child to every free
+    vertex: this cuts the first move on a disconnected graph or past a cut
+    vertex.  When a dead end switches pruning on, the search starts the
+    current start again, so the greedy path it had walked meets the test
+    from its first move on.  A cycle's full path that does not close is
+    followed at once by such a dead end, since its last vertex had no
+    other free neighbour.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -98,28 +112,29 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
         if min(map(int.bit_count, adj)) < 2:
             return None
         starts: range | list[int] = [0]
-        # free vertices that may end the path, and the start's bit, which
-        # stays in the pool of a cycle
-        allowed, home = 0, 1
+        # free vertices that may end the path, the start's bit, which stays
+        # in the pool of a cycle, and the vertices of degree < 2: none
+        allowed, home, tips = 0, 1, 0
     else:
         allowed, home = 1, 0
         leaves = [v for v, m in enumerate(adj) if not m & m - 1]  # degree < 2
         if len(leaves) > 2 or 0 in adj:
             return None
+        tips = sum(1 << v for v in leaves)
         # a vertex of degree 1 ends every path; with two of them, a path
         # from the smaller exists iff its reverse does
         starts = leaves[:1] if len(leaves) == 2 else range(n)
     # a dead state's key is mask << 5 | last: unique, as last < MEMO_LIMIT < 32
     dead: set[int] | None = set() if n <= MEMO_LIMIT else None
     # None until pruning switches on; then ends[v] is the ends of the state
-    # on the path whose last vertex is v, or -1 if it is untested
+    # on the path whose last vertex is v
     ends: list[int] | None = None
     for start in starts:
         mask = 1 << start
         order = [start]
         stack = [adj[start]]  # untried successors of each vertex on the path
         if ends is not None:
-            ends[start] = -1
+            ends[start] = tips & ~mask
         while stack:
             free = stack[-1]
             if not free:
@@ -133,8 +148,9 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
                     # pruning switches on: walk the greedy path again from
                     # the start, so the test cuts it at its highest
                     # failing state
-                    ends = [-1] * n
                     mask, order, stack = 1 << start, [start], [adj[start]]
+                    ends = [0] * n
+                    ends[start] = tips & ~mask
                 continue
             bit = free & -free
             stack[-1] = free ^ bit
@@ -144,23 +160,17 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
                 if not closed or adj[nxt] >> start & 1:
                     order.append(nxt)
                     return order
-                if ends is None:
-                    ends = [-1] * n
             elif dead is not None and mask << 5 | nxt in dead:
                 pass  # already known to fail
             elif ends is not None:
                 rest = full ^ mask
                 last = order[-1]
+                # the parent's last vertex leaves the pool.  The parent's
+                # ends hold nxt only when the child fails anyway (an end
+                # next to the last vertex has no free neighbour), so nxt
+                # need not be taken out of them
                 found = ends[last]
-                if found < 0:
-                    # an untested parent: any free vertex may be an end
-                    found, others = 0, rest
-                else:
-                    # the parent's last vertex leaves the pool.  The parent's
-                    # ends hold nxt only when the child fails anyway (an end
-                    # next to the last vertex has no free neighbour), so nxt
-                    # need not be taken out of them
-                    others = adj[last] & rest
+                others = adj[last] & rest
                 pool = rest | bit | home
                 left = others
                 while left:
@@ -168,13 +178,13 @@ def _search(adj: tuple[int, ...], closed: bool) -> list[int] | None:
                     left ^= low
                     if (adj[low.bit_length() - 1] & pool).bit_count() < 2:
                         found |= low
-                if (
+                # no test showed that the start reaches its free vertices
+                want = rest if last == start else others
+                if not (
                     found.bit_count() > allowed
                     or closed and not adj[start] & rest
-                    or others and not _reaches(adj, rest, nxt, others)
+                    or want and not _reaches(adj, rest, nxt, want)
                 ):
-                    found = -1
-                if found >= 0:
                     order.append(nxt)
                     stack.append(adj[nxt] & ~mask)
                     ends[nxt] = found
@@ -234,13 +244,14 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
     matrices are vacuously orderable; cyclic closure needs at least 3 rows.
     By the paper's theorem every invertible matrix has such an order, so
     None on one is a failure of the search, raised as AssertionFailure;
-    only a None answer pays for the determinant.
+    only a None answer pays for the determinant.  An order that is not a
+    permutation of 1..n, or whose rows fail the raw-entry check, is a
+    failure of the search too.
     """
     if not a.is_square:
         raise NotSquare(f"need a square matrix, got {a.m}x{a.n}")
     if a.n == 1:  # no window, so nothing for the postcondition to check
         return None if cyclic else RowPermutation.identity(1)
-    # the witness is checked once, on the permuted matrix below
     witness = _witness(two_row_graph(a, cyclic), cyclic)
     if witness is None:
         if (a.n >= 3 or not cyclic) and _rank_det(a)[1]:
@@ -250,9 +261,11 @@ def traceable_ordering(a: ExactMatrix, cyclic: bool = False) -> RowPermutation |
                 matrix=a,
             )
         return None
-    sigma = RowPermutation(witness.order)
-    if not is_square_traceable(permute_rows(a, sigma), cyclic):
-        raise AssertionFailure(
-            f"row order {sigma.image} is not square-traceable", matrix=a
-        )
-    return sigma
+    # checked on a's own rows in witness order: no permuted copy is built
+    order = witness.order
+    if not _is_order(order, a.m):
+        raise AssertionFailure(f"search returned {order}, not a row order", matrix=a)
+    raw = a.raw()
+    if not _rows_traceable([raw[k - 1] for k in order], _vanishes_fn(a), cyclic):
+        raise AssertionFailure(f"row order {order} is not square-traceable", matrix=a)
+    return RowPermutation._make(order)

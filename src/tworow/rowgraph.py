@@ -28,10 +28,12 @@ plain masks ANDed row by row with the wrap masks: the cyclic graph costs
 one window more than the plain one.  Cached masks are tuples; callers get
 a new list each time.
 
-null_connected and is_square_traceable, the one traceability check (plain
-or cyclic) that traceable_ordering runs on its answer, read raw entries
-only, never the kernel or the memo, so they stay an independent check of
-both.
+null_connected and is_square_traceable read raw entries only, never the
+kernel or the memo, so they stay an independent check of both.  The one
+traceability check (plain or cyclic), _rows_traceable, takes raw rows in
+any order: is_square_traceable runs it on a matrix's rows as they stand,
+and traceable_ordering on its answer, the matrix's rows in witness order,
+without building the permuted matrix.
 """
 
 from __future__ import annotations
@@ -256,26 +258,27 @@ def _null_connected_raw(ri, rj, vanishes, cyclic: bool) -> bool:
     """null_connected on two raw rows, from their entries alone.
 
     A window whose two entries in ri are both zero has a vanishing minor,
-    so only the windows meeting ri's nonzero columns are tested: the first
-    window, where dense rows decide, then for each nonzero column the
-    windows ending and starting there, each once and in increasing order,
-    then the wrap window (n, 1) when cyclic.  A sparse row costs two or
-    three windows, not n-1.
+    so only the windows meeting ri's nonzero columns are tested, each once
+    and in increasing order: for each nonzero column s the window ending
+    there, unless ri is nonzero before s too, then the one starting there;
+    then the wrap window (n, 1) when cyclic.  A window is decided by which
+    of its entries are nonzero: with ri zero in its other column, its
+    minor is nonzero iff rj is nonzero there, and vanishes is called only
+    when all four entries are nonzero.  A sparse row costs two windows,
+    not n-1.
     """
     last = len(ri) - 1  # 0-based windows (k, k+1) for k < last
-    if last > 0:
-        if not vanishes(ri[0], ri[1], rj[0], rj[1]):
+    for s in compress(range(last + 1), ri):
+        # (s-1, s) with ri zero in s-1: its minor is -ri[s] * rj[s-1]
+        if s and not ri[s - 1] and rj[s - 1]:
             return False
-        k = 0  # the last window tested
-        for s in compress(range(last + 1), ri):
-            if s > k + 1:
-                k = s - 1
-                if not vanishes(ri[k], ri[s], rj[k], rj[s]):
+        if s < last:
+            y, z, w = ri[s + 1], rj[s], rj[s + 1]
+            if y and z and w:
+                if not vanishes(ri[s], y, z, w):
                     return False
-            if k < s < last:
-                k = s
-                if not vanishes(ri[s], ri[s + 1], rj[s], rj[s + 1]):
-                    return False
+            elif w or y and z:  # ri[s] * w - y * z with one product zero
+                return False
     if cyclic and not vanishes(ri[-1], ri[0], rj[-1], rj[0]):
         return False
     return True
@@ -429,10 +432,14 @@ def is_square_traceable(a: ExactMatrix, cyclic: bool = False) -> bool:
         raise DegenerateMatrix("cyclic traceability needs n >= 3")
     if a.n < 2:
         raise DegenerateMatrix("needs at least two columns")
-    raw = a.raw()
-    vanishes = _vanishes_fn(a)
-    # i = 0 pairs row m with row 1, which closes the cycle
+    return _rows_traceable(a.raw(), _vanishes_fn(a), cyclic)
+
+
+def _rows_traceable(rows, vanishes, cyclic: bool) -> bool:
+    """is_square_traceable on raw rows in the order given: no consecutive
+    pair, nor the pair (last, first) when cyclic, is null-connected."""
+    # i = 0 pairs the last row with the first, which closes the cycle
     return all(
-        not _null_connected_raw(raw[i - 1], raw[i], vanishes, cyclic)
-        for i in range(0 if cyclic else 1, a.m)
+        not _null_connected_raw(rows[i - 1], rows[i], vanishes, cyclic)
+        for i in range(0 if cyclic else 1, len(rows))
     )

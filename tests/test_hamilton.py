@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import time
 
 import pytest
 
@@ -22,9 +23,10 @@ from tworow import (
     two_row_graph,
 )
 import tworow.hamilton as hamilton
+from tworow.cli import main
 from tworow.hamilton import MEMO_LIMIT, _reaches
 
-from .conftest import ALL_SPECS, random_invertible, sparse_invertible
+from .conftest import ALL_SPECS, FIXTURES, random_invertible, sparse_invertible
 from .oracles import (
     all_graphs,
     brute_hamiltonian_cycle,
@@ -286,6 +288,21 @@ def test_search_matches_brute_force_on_every_small_graph():
                 assert (got and got.order) == brute_hamiltonian_cycle(n, edges), g
 
 
+def trees_with_chords(rng, count):
+    """count random trees on 8..11 vertices plus 1-3 chords, each left with
+    one or two leaves: a start's ends are the graph's leaves."""
+    while count:
+        n = rng.randint(8, 11)
+        pairs = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+        while len(pairs) < n - 1 + rng.randint(1, 3):
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            pairs.add((i, j))
+        g = SimplicialGraph.of(n, pairs)
+        if 1 <= sum(m.bit_count() == 1 for m in g.adj) <= 2:
+            count -= 1
+            yield g
+
+
 @pytest.mark.parametrize("memo", [True, False])
 def test_search_matches_unpruned_dfs(memo, monkeypatch):
     # graphs too large for brute_hamiltonian_path, searched with the
@@ -295,13 +312,54 @@ def test_search_matches_unpruned_dfs(memo, monkeypatch):
     if not memo:
         monkeypatch.setattr(hamilton, "MEMO_LIMIT", 7)
     rng = random.Random(23)
-    for _ in range(600):
-        g = random_graph(rng, rng.randint(8, 11), rng.choice([0.2, 0.3, 0.4, 0.5, 0.6]))
+    graphs = [
+        random_graph(rng, rng.randint(8, 11), rng.choice([0.2, 0.3, 0.4, 0.5, 0.6]))
+        for _ in range(600)
+    ]
+    graphs += trees_with_chords(rng, 200)
+    for g in graphs:
         assert (g.n <= hamilton.MEMO_LIMIT) == memo
         edges = set(g.edges)
         for cyclic in (False, True):
             got = graph_hamiltonicity(g, cyclic)
             assert (got and got.order) == dfs_hamiltonian(g.n, edges, cyclic), (g, cyclic)
+
+
+def cliques(sizes, hub):
+    """Disjoint cliques of the given sizes, all joined to one more vertex,
+    vertex 1, when hub."""
+    pairs, base = [], 2 if hub else 1
+    for size in sizes:
+        clique = range(base, base + size)
+        base += size
+        pairs += [(i, j) for i in clique for j in clique if i < j]
+        if hub:
+            pairs += [(1, v) for v in clique]
+    return SimplicialGraph.of(base - 1, pairs)
+
+
+def test_search_cuts_at_the_first_move_where_the_start_is_cut_off():
+    # a start's children must reach every free vertex, not only the start's
+    # other free neighbours, since no test showed that the start reaches
+    # them: then a start beside a cut vertex, or in one component of a
+    # disconnected graph, fails at its first move instead of the search
+    # walking every path through its clique
+    t0 = time.perf_counter()
+    two = cliques([11, 11], False)
+    assert two.n > MEMO_LIMIT
+    assert graph_hamiltonicity(two) is None
+    assert graph_hamiltonicity(two, True) is None
+    # three K_7 sharing vertex 1, which is then a cut vertex
+    three = SimplicialGraph.of(19, [
+        (i, j) for k in range(3) for i in (1, *range(6 * k + 2, 6 * k + 8))
+        for j in range(6 * k + 2, 6 * k + 8) if i < j
+    ])
+    assert graph_hamiltonicity(three) is None
+    assert graph_hamiltonicity(three, True) is None
+    w = graph_hamiltonicity(cliques([11, 11], True))
+    assert w is not None and w.order[:2] == (2, 3) and w.order[11] == 1
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
 def test_reaches_matches_closure():
@@ -335,6 +393,21 @@ def test_none_on_an_invertible_matrix_raises(monkeypatch):
         assert info.value.matrix is a
     # two rows close no cycle, invertible or not: no search, no failure
     assert traceable_ordering(ExactMatrix.identity(GF5, 2), cyclic=True) is None
+
+
+@pytest.mark.parametrize("order", [[0, 0, 1, 2], [0, 1, 2, 7], [-2, 0, 1, 2]])
+def test_faulty_search_order_is_an_assertion_failure(order, monkeypatch, capsys):
+    # a repeated or out-of-range vertex is the search's fault, not the
+    # input's: AssertionFailure with the matrix, and CLI exit code 1
+    monkeypatch.setattr(hamilton, "_search", lambda adj, closed: list(order))
+    a = ExactMatrix.identity(GF2, 4)
+    for cyclic in (False, True):
+        with pytest.raises(AssertionFailure, match="not a row order") as info:
+            traceable_ordering(a, cyclic)
+        assert info.value.matrix is a
+        flag = ["--cyclic"] if cyclic else []
+        assert main(["trace", "--matrix", str(FIXTURES / "id4.json"), *flag]) == 1
+        assert "assertion failure" in capsys.readouterr().err
 
 
 def test_isomorphism_examples(golden_7x7):

@@ -26,6 +26,8 @@ from tworow import (
     traceable_ordering,
     two_row_graph,
 )
+from tworow.rowgraph import _rows_traceable, _vanishes_fn
+
 from .conftest import ALL_SPECS, NONZERO_Q, random_matrix, sparse_invertible
 from .oracles import brute_graph_edges, brute_null_connected
 
@@ -233,10 +235,14 @@ def test_row_checks_match_brute_force(spec):
             sigma = traceable_ordering(a, cyclic)
             if sigma is not None:
                 orders.append(sigma.image)
+            raw, vanishes = a.raw(), _vanishes_fn(a)
             for order in orders:
                 b = permute_rows(a, RowPermutation(order))
                 want = brute_traceable(b, cyclic)
                 assert is_square_traceable(b, cyclic) == want, (b, cyclic)
+                # the check traceable_ordering runs: a's rows in that order
+                rows = [raw[k - 1] for k in order]
+                assert _rows_traceable(rows, vanishes, cyclic) == want, (a, order, cyclic)
 
 
 def test_row_graph_helpers():

@@ -311,7 +311,7 @@ def test_memo_keys_are_documented():
 # the raw-entry row checks behind the traceability postcondition, and the
 # kernel and memo names they must not use
 RAW_ROW_CHECKS = {"_null_connected_raw", "_vanishes_fn", "null_connected",
-                  "is_square_traceable"}
+                  "is_square_traceable", "_rows_traceable"}
 KERNEL_NAMES = {"_memo", "_scan_masks", "null_masks", "row_null_masks",
                 "_int_rows", "_projective_classes"}
 

@@ -30,12 +30,16 @@ that met it, so its sum only multiplies entries and eliminates its minors,
 and its value, reduced already, becomes a Scalar through the trusted
 Scalar._of.  Only a track built by the caller derives its plan.
 Only the track list walks strings, with no products.  Like the DP it goes
-column by column, but it keeps every prefix, with its 1x1 members, one list
-of them per column in lexicographic order, where the DP merges prefixes on
-their used rows; it meets each track once at its smallest string, closes
-the last column in its final loop, hands a narrow string out as a track of
-its own and canonicalizes only wide ones.  The DP and the walk place row r
-with one sign flip per used row of larger index.
+column by column, but it keeps every partial string, with its 1x1 members,
+one list of them per column in lexicographic order, where the DP merges
+prefixes on their used rows.  It meets in the middle: one walk from no rows
+over the first columns gives the prefixes, the same walk over the last
+ceil(n/2) columns, fewer where a cap on their number needs it, gives the
+suffixes, and each prefix is joined with the suffixes on the rows it leaves
+free, so that each completion is built once.  It meets each track once, at
+its smallest string, hands a narrow string out as a track of its own and
+canonicalizes only wide ones.  The DP and the walk place row r with one
+sign flip per used row of larger index.
 
 Every function taking the cyclic flag runs _one_blocks, which rejects a
 flag that is not a bool with ParseError, and the enumerations reject a
@@ -378,8 +382,8 @@ def _track_plan(track: OneTrack) -> tuple:
     when they fill all n columns cols is range(n); its other members sit on
     the 0-based (rows, cols) pairs of minors, and sign is that of one string
     of the track: each member's rows down its columns, in order.  rows is
-    None when no string fits, and SizeBound when more than
-    DEFAULT_TRACK_BOUND! strings would."""
+    None when no string fits, as when a member starts outside 1..n, and
+    SizeBound when more than DEFAULT_TRACK_BOUND! strings would."""
     members = track.members
     n = track.total_cols
     misfit = (n, None, None, None, 0)
@@ -395,7 +399,8 @@ def _track_plan(track: OneTrack) -> tuple:
     image = [0] * n  # image[c]: the row taking column c, 0 while untaken
     cols, minors = [], []
     for mb in members:
-        if len(mb.rows) != mb.col_len:
+        # a start outside 1..n names no column, whatever it is modulo n
+        if len(mb.rows) != mb.col_len or not 0 < mb.col_start <= n:
             return misfit
         span = [(mb.col_start - 1 + t) % n for t in range(mb.col_len)]
         for r, c in zip(mb.rows, span):
@@ -418,9 +423,10 @@ def track_sum(a: ExactMatrix, track: OneTrack) -> Scalar:
     strings than DEFAULT_TRACK_BOUND! (8 x 8).
 
     A string fits the track only when its members tile the columns: each
-    column in exactly one member, each member with as many columns as rows.
-    The sum is then the generalized Laplace product: the sign of one string
-    of the track times the member minors, rows and columns in member order.
+    column in exactly one member, each member starting on one of the n
+    columns, with as many columns as rows.  The sum is then the generalized
+    Laplace product: the sign of one string of the track times the member
+    minors, rows and columns in member order.
     All of that but the entries is the track's plan, _track_plan, which
     complete_tracks and track_of_string hand out with every track they make;
     a track built by the caller derives it on every call.
@@ -459,39 +465,25 @@ def _singles(col_nonzero: int, c: int, n: int) -> list:
     return [_member((r + 1,), c + 1, 1) if col_nonzero >> r & 1 else None for r in range(n)]
 
 
-def complete_tracks(
-    a: ExactMatrix, cyclic: bool = False, max_size: int = DEFAULT_TRACK_BOUND
-) -> list[OneTrack]:
-    """Distinct canonical tracks of all nonzero strings, each met once, at
-    its lexicographically smallest string, in the order of those strings,
-    each with its plan.
+# The most complete suffixes complete_tracks may build: the 4-column strings
+# of an 8 x 8 matrix, all of which a dense matrix at the default bound has.
+_SUFFIX_CAP = math.perm(DEFAULT_TRACK_BOUND, DEFAULT_TRACK_BOUND // 2)
 
-    A track's strings permute each member's rows over its columns, so the
-    smallest has each member's rows ascending and, for a cyclic member
-    wrapping past column n, its head rows (columns 1..j) below its tail rows
-    (columns k..n).  The walk goes column by column, keeping one list of
-    prefix states (used, rows, members, last, wide, odd): the used rows as a
-    bitmask, the 0-based rows taken so far, their 1x1 members, the block
-    (or -1) of the last cell, whether two consecutive cells share a block,
-    and the parity of the inversions.  Each state, in order, is extended by
-    the free nonzero rows of the next column, smallest first, so every list
-    is in lexicographic order; a row below the previous one in the same
-    block is never placed, which cuts every string under it.  A column's
-    1x1 members are made once, when the walk reaches it.  The last column
-    has one row left, so the final loop closes each state in place, and
-    keeps a string whose wrap pair shares a block only if its last head row
-    is below its first tail row or the run covers every column.  A narrow
-    string (no two consecutive cells, closed when cyclic, in one block) is
-    a track of its own, its prefix's members and one more, and its plan is
-    its rows and sign; a wide string goes through _canonical_track, which
-    builds its members and plan from the string and its sign."""
-    _check_enumerable(a, max_size)
-    n = a.n
-    owner = _one_blocks(a, cyclic)[1]
-    blocks_by_column = tuple(zip(*owner))
-    nonzero = a._col_masks()
-    states = [(0, (), (), -1, False, 0)]
-    for c in range(n - 1):
+
+def _walk(states: list, cols: range, blocks_by_column: tuple, nonzero: tuple, n: int) -> list:
+    """The partial strings in states, extended over the columns cols in order.
+
+    A state (used, rows, members, last, wide, odd) holds the used rows as a
+    bitmask, the 0-based rows taken so far, their 1x1 members, the block (or
+    -1) of the last cell, whether two consecutive cells share a block, and
+    the parity of the inversions.  Each state, in order, is extended by the
+    free nonzero rows of the next column, smallest first, so that a list in
+    lexicographic order stays so.  A row below the previous one in the same
+    block is never placed, which cuts every string under it, and a row
+    after one in the same block makes the string wide.  Placing row r flips
+    odd once per used row of larger index.  A column's 1x1 members are made
+    once, when the walk reaches it."""
+    for c in cols:
         col_blocks = blocks_by_column[c]
         col_nonzero = nonzero[c]
         singles = _singles(col_nonzero, c, n)
@@ -512,42 +504,104 @@ def complete_tracks(
                           odd ^ (used >> r).bit_count() & 1))
         states = extended
         if not states:
-            return []
-    col_blocks = blocks_by_column[-1]
-    col_nonzero = nonzero[-1]
-    singles = _singles(col_nonzero, n - 1, n)
+            break
+    return states
+
+
+def complete_tracks(
+    a: ExactMatrix, cyclic: bool = False, max_size: int = DEFAULT_TRACK_BOUND
+) -> list[OneTrack]:
+    """Distinct canonical tracks of all nonzero strings, each met once, at
+    its lexicographically smallest string, in the order of those strings,
+    each with its plan.
+
+    A track's strings permute each member's rows over its columns, so the
+    smallest has each member's rows ascending and, for a cyclic member
+    wrapping past column n, its head rows (columns 1..j) below its tail rows
+    (columns k..n).  The walk meets in the middle (Horowitz and Sahni): _walk
+    extends the empty string over the first h columns into prefix states,
+    and separately over the last n - h into suffix states, both lists in
+    lexicographic order.  The complete suffixes are grouped by the rows
+    they leave to a prefix, each group in order, so each completion is built
+    once and shared by every prefix on those rows; each prefix, in order,
+    is joined with its group in order, which lists the strings in order.
+    The junction pair, the prefix's last cell and the suffix's first, keeps
+    the rule of every consecutive pair: in one block only ascending rows
+    are kept, and the string is wide.  A string whose wrap pair shares a
+    block is kept only if its last head row is below its first tail row or
+    the run covers every column.  The sign flips once per inversion in the
+    prefix, in the suffix, and between the two; the last term depends on the
+    prefix's rows alone, so it is added once per prefix.
+
+    The suffix walk cannot see which rows the prefixes leave free, so it
+    builds completions no prefix may use.  It spans ceil(n/2) columns, or
+    fewer, so that no more than _SUFFIX_CAP strings can complete it: both
+    n!/(n-k)! and the product of its columns' nonzero counts bound the
+    strings on k columns.  A left half with one nonzero per column and a
+    dense right half over n = 10 would otherwise build 30,240 suffixes for
+    the 120 strings that use them.  Up to n = 8 the cap never binds.
+
+    A narrow string (no two consecutive cells, closed when cyclic, in one
+    block) is a track of its own, its prefix's 1x1 members and its
+    suffix's, and its plan is its rows and sign; a wide string goes through
+    _canonical_track, which builds its members and plan from the string and
+    its sign."""
+    _check_enumerable(a, max_size)
+    n = a.n
+    owner = _one_blocks(a, cyclic)[1]
+    blocks_by_column = tuple(zip(*owner))
+    nonzero = a._col_masks()
+    k = (n + 1) // 2
+    while math.perm(n, k) > _SUFFIX_CAP and math.prod(
+            [nonzero[c].bit_count() for c in range(n - k, n)]) > _SUFFIX_CAP:
+        k -= 1
+    h = n - k
+    empty = [(0, (), (), -1, False, 0)]
+    suffixes = _walk(empty, range(h, n), blocks_by_column, nonzero, n)
+    prefixes = _walk(empty, range(h), blocks_by_column, nonzero, n) if suffixes else []
     full = (1 << n) - 1
+    firsts = blocks_by_column[h] if k else ()
+    table: dict = {}  # the rows a prefix takes -> the suffixes on the others
+    for used, rows, members, _, wide, odd in suffixes:
+        group = table.get(full ^ used)
+        if group is None:
+            group = table[full ^ used] = []
+        group.append((rows, members, firsts[rows[0]] if rows else -1, wide, odd))
+    # a prefix row r comes before the suffix rows below it: the r rows below
+    # it but the prefix rows below it, so sum(rows) - h(h-1)/2 in all
+    base = h * (h - 1) // 2
     cols = tuple(range(n))
+    lasts = blocks_by_column[-1]
     out = []
     add = out.append
     new = object.__new__
-    # popped in order, so that each state is freed as its track is made
-    states.reverse()
-    while states:
-        used, rows, members, last, wide, odd = states.pop()
-        r = (full ^ used).bit_length() - 1
-        if not col_nonzero >> r & 1:
+    for used, head_rows, head_members, last, head_wide, head_odd in prefixes:
+        group = table.get(used)
+        if group is None:
             continue
-        b = col_blocks[r]
-        same = b == last >= 0
-        if same and r < rows[-1]:
-            continue
-        rows += (r,)
-        # the rows of larger index than r are all used: n - 1 - r of them
-        sign = -1 if odd ^ (n - 1 - r) & 1 else 1
-        wrap = cyclic and b >= 0 and owner[rows[0]][0] == b
-        if not (wrap or same or wide):
-            track = new(OneTrack)
-            _set_members(track, members + (singles[r],))
-            _set_cyclic(track, cyclic)
-            _set_plan(track, (n, rows, cols, (), sign))
-            add(track)
-        else:
-            cells = [owner[r][c] for c, r in enumerate(rows)]
-            # wrap pair in block b: head ends before other[0], tail starts after other[-1]
-            other = [t for t, e in enumerate(cells) if e != b] if wrap else []
-            if not other or rows[other[0] - 1] < rows[other[-1] + 1]:
-                add(_canonical_track(cells, rows, cyclic, n, sign))
+        # the block of the first cell, which a wrap pair shares
+        first = owner[head_rows[0]][0] if cyclic and head_rows else -1
+        head_odd ^= sum(head_rows) + base & 1
+        for tail_rows, tail_members, tail_first, wide, odd in group:
+            if tail_first == last >= 0:  # the junction pair: rows ascend in one block
+                if tail_rows[0] < head_rows[-1]:
+                    continue
+                wide = True
+            rows = head_rows + tail_rows
+            sign = -1 if head_odd ^ odd else 1
+            wrap = first >= 0 and lasts[rows[-1]] == first
+            if not (wrap or wide or head_wide):
+                track = new(OneTrack)
+                _set_members(track, head_members + tail_members)
+                _set_cyclic(track, cyclic)
+                _set_plan(track, (n, rows, cols, (), sign))
+                add(track)
+            else:
+                cells = [owner[r][c] for c, r in enumerate(rows)]
+                # wrap pair in block first: head ends before other[0], tail starts after other[-1]
+                other = [t for t, e in enumerate(cells) if e != first] if wrap else []
+                if not other or rows[other[0] - 1] < rows[other[-1] + 1]:
+                    add(_canonical_track(cells, rows, cyclic, n, sign))
     return out
 
 

@@ -363,6 +363,14 @@ MALFORMED_TRACKS = [
     (2, members(((2,), 2, 2), ((1,), 2, 1), ((), 1, -1)), [set(), set()]),
     # too few columns
     (3, members(((1, 2, 3), 1, 2),), IncompleteTrack),
+    # a start outside 1..n, which names a column only modulo n: row 1 at
+    # column 1 and the minor on columns 1..2 otherwise
+    (2, members(((1,), -1, 1), ((2,), 2, 1)), "zero"),
+    (2, members(((1,), 3, 1), ((2,), 2, 1)), "zero"),
+    (2, members(((1,), 5, 1), ((2,), 2, 1)), "zero"),
+    (2, members(((1, 2), 3, 2),), "zero"),
+    (3, members(((1,), 0, 1), ((2,), 2, 1), ((3,), 1, 1)), "zero"),
+    (3, members(((1, 2), 4, 2), ((3,), 3, 1)), "zero"),
 ]
 
 
@@ -573,10 +581,33 @@ def test_string_partition_into_tracks(cyclic):
         assert sum(len(v) for v in by_track.values()) == len(strings)
 
 
+def plant_block(a, run, block_rows, rng):
+    """a with a rank-one block on the 0-based columns run (consecutive
+    modulo n) and the 1-based block_rows, as planted_blocks plants one: the
+    first row zero on the columns flanking the run, the others zero off
+    it."""
+    n, spec = a.n, a.spec
+    rows = [list(row) for row in a.raw()]
+    values = [v for row in rows for v in row if v] or [1]
+    base = [rng.choice(values) for _ in run]
+    lead, *rest = (r - 1 for r in block_rows)
+    rows[lead][(run[0] - 1) % n] = rows[lead][(run[-1] + 1) % n] = 0
+    for r in rest:
+        rows[r] = [0] * n
+    for r in (lead, *rest):
+        factor = rng.choice(values)
+        for c, v in zip(run, base):
+            rows[r][c] = spec.canonical(factor * v)
+    return ExactMatrix(spec, rows)
+
+
 def test_complete_tracks_match_string_oracle():
     # complete_tracks against every nonzero string grouped by its track, in
     # first-seen order, plain and cyclic: every binary 3x3 matrix, every 7th
-    # binary 4x4 one, and random and planted-block matrices up to 7x7
+    # binary 4x4 one, random and planted-block matrices up to 8x8, and
+    # blocks planted across the junction of the walk's prefix (the first
+    # n // 2 columns) and suffix, and across the wrap from the suffix into
+    # the prefix
     rng = random.Random(1402)
     matrices = [
         ExactMatrix(GF2, [[bits >> (n * r + c) & 1 for c in range(n)] for r in range(n)])
@@ -587,13 +618,47 @@ def test_complete_tracks_match_string_oracle():
         for _ in range(6):
             matrices.append(random_matrix(rng, spec, *[rng.randint(2, 7)] * 2))
             matrices.append(planted_blocks(rng, spec, *[rng.randint(2, 7)] * 2))
+    for spec in (GF2, QQ):
+        matrices.append(planted_blocks(rng, spec, 8, 8))
+    # (matrix, 0-based junction columns, 1-based block rows): the runs are
+    # two columns across the junction, three or four across it, and two or
+    # four across the wrap, each leaving out a column to flank it; each
+    # planted block holds both columns of its junction, the wrap junction
+    # only when cyclic
+    junctions = []
+    for n in (4, 5, 6, 7, 8):
+        h = n // 2
+        runs = (range(h - 1, h + 1), range(h - 1 - (n > 5), h + 2),
+                range(n - 1 - (n > 4), n + 1 + (n > 4)))
+        for k, run in enumerate(runs * 2):
+            spec = (GF2, GF3, FieldSpec.gf(7), QQ)[(n + k) % 4]
+            run = [c % n for c in run]
+            block_rows = tuple(sorted(rng.sample(range(1, n + 1), 2 + (n > 5))))
+            a = plant_block(planted_blocks(rng, spec, n, n), run, block_rows, rng)
+            matrices.append(a)
+            junction = (n - 1, 0) if 0 in run and n - 1 in run else (h - 1, h)
+            junctions.append((a, junction, block_rows))
+    strings_of = {id(a): nonzero_strings(a) for a in matrices}
+    met = set()  # (cyclic, junction at the wrap, rows ascending across it)
+    for a, (left, right), block_rows in junctions:
+        for cyclic in (False, True):
+            assert (right == 0 and not cyclic) or any(
+                set(block_rows) <= set(b.rows) and {left + 1, right + 1} <= set(b.columns(a.n))
+                for b in find_one_blocks(a, cyclic)), (a.to_json_dict(), cyclic)
+            met |= {(cyclic, right == 0, image[left] < image[right])
+                    for image in strings_of[id(a)]
+                    if {image[left], image[right]} <= set(block_rows)}
+    assert len(met) == 8
     for a in matrices:
-        strings = nonzero_strings(a)
+        strings = strings_of[id(a)]
         for cyclic in (False, True):
             first_seen = {}
             for image in strings:
                 first_seen.setdefault(track_of_string(a, RowPermutation(image), cyclic))
-            assert complete_tracks(a, cyclic) == list(first_seen), a.to_json_dict()
+            tracks = complete_tracks(a, cyclic)
+            assert tracks == list(first_seen), a.to_json_dict()
+            # track_of_string hands out the plan of the track, from any string
+            assert [t._plan for t in tracks] == [t._plan for t in first_seen]
 
 
 def T(cyclic, *members):
@@ -636,6 +701,15 @@ EDGE_CASES = [
     # column 2's only nonzero row, row 2, is used when column 1 takes it
     (ExactMatrix(GF3, [[1, 0, 1], [1, 1, 0], [0, 0, 1]]),
      [singles(False, 1, 2, 3)], [singles(True, 1, 2, 3)]),
+    # n = 4, where the walk joins columns 1..2 to columns 3..4: the only
+    # block, rows 1 and 2 on columns 2..3, straddles the junction, so the
+    # strings (3, 2, 1, 4) and (4, 2, 1, 3) descend across it and are cut
+    # there; rows 3 and 4 are null-connected only on the consecutive windows
+    (ExactMatrix(GF3, [[0, 1, 1, 0], [0, 2, 2, 0], [1, 0, 0, 1], [1, 0, 0, 2]]),
+     [T(False, ((3,), 1, 1), ((1, 2), 2, 2), ((4,), 4, 1)),
+      T(False, ((4,), 1, 1), ((1, 2), 2, 2), ((3,), 4, 1))],
+     [T(True, ((3,), 1, 1), ((1, 2), 2, 2), ((4,), 4, 1)),
+      T(True, ((4,), 1, 1), ((1, 2), 2, 2), ((3,), 4, 1))]),
 ]
 
 
@@ -673,6 +747,101 @@ def test_complete_tracks_8x8_all_nonzero(spec):
             total = total + track_sum(a, t)
         # det(I + J) = 1 + 8: 0 over GF(3), 9 over Q
         assert total == determinant(a) == spec.scalar(9)
+
+
+def lopsided(n, choices):
+    """n x n over GF(13): in each of the first n / 2 columns c, rows c and,
+    with two choices, c + n / 2 are 1 and the rest 0; the last n / 2 columns
+    are dense, row i Vandermonde on i, so that no two rows are
+    null-connected.  Its strings, 1-based and in lexicographic order, take
+    each left column's row from its choices and the others in any order."""
+    half = n // 2
+    picks = [(c, c + half)[:choices] for c in range(half)]
+    rows = [[0] * n for _ in range(n)]
+    for c, pick in enumerate(picks):
+        for r in pick:
+            rows[r][c] = 1
+    for i, row in enumerate(rows):
+        row[half:] = [pow(i + 1, j, 13) for j in range(n - half)]
+    strings = [
+        tuple(r + 1 for r in left + right)
+        for left in itertools.product(*picks)
+        for right in itertools.permutations(sorted(set(range(n)) - set(left)))
+    ]
+    return ExactMatrix(FieldSpec.gf(13), rows), strings
+
+
+@pytest.fixture
+def suffix_walks(monkeypatch):
+    """(suffix columns, complete suffixes) of each complete_tracks call
+    from here on: its _walk call that ends at column n, after the
+    prefix's."""
+    calls, walks = [], []
+
+    def walk(states, cols, *rest):
+        extended = real_walk(states, cols, *rest)
+        calls.append((cols, len(extended)))
+        return extended
+
+    def complete(*args, **kwargs):
+        calls.clear()
+        tracks = real_complete(*args, **kwargs)
+        cols, count = max(calls, key=lambda call: (call[0].stop, call[0].start))
+        walks.append((len(cols), count))
+        return tracks
+
+    real_walk, real_complete = blocks._walk, blocks.complete_tracks
+    monkeypatch.setattr(blocks, "_walk", walk)
+    monkeypatch.setattr(blocks, "complete_tracks", complete)
+    return walks
+
+
+def test_complete_tracks_lopsided_at_raised_bounds(suffix_walks):
+    # the suffix walk cannot see which rows the prefixes leave free: here
+    # the left half leaves n / 2 rows, one or 2 ** (n / 2) ways, to a dense
+    # right half, and a suffix on the last n / 2 columns of n = 12 holds
+    # 665,280 strings for the 720 that are used; the cap holds the suffix
+    # table to _SUFFIX_CAP, and each call to a bound that an uncapped walk
+    # (about 3 s and 280 MB a call at n = 12) fails
+    for n in (6, 8):
+        for choices in (1, 2):
+            a, strings = lopsided(n, choices)
+            assert nonzero_strings(a) == strings
+    for n in (6, 8, 10, 12):
+        for choices in (1, 2):
+            a, strings = lopsided(n, choices)
+            for cyclic in (False, True):
+                assert not find_one_blocks(a, cyclic)
+                start = time.perf_counter()
+                tracks = blocks.complete_tracks(a, cyclic, max_size=n)
+                assert time.perf_counter() - start < 1.0
+                assert [tuple(m.rows[0] for m in t.members) for t in tracks] == strings
+    assert len(suffix_walks) == 16
+    assert max(count for _, count in suffix_walks) <= blocks._SUFFIX_CAP
+
+
+def test_complete_tracks_same_at_every_split(suffix_walks, monkeypatch):
+    # the split of the walk only moves work between its halves: with the
+    # suffix cap lowered so that the suffix shrinks, down to no columns,
+    # where the prefixes are whole strings, the list, its order and its
+    # plans stay the same
+    splits = set()  # (n, suffix columns)
+    caps = [blocks._SUFFIX_CAP]
+    rng = random.Random(1404)
+    for n in range(2, 8):
+        caps[1:] = [math.perm(n, j) for j in range(n // 2 + 1)]
+        for spec, make in itertools.product((GF2, GF3, QQ), (random_matrix, planted_blocks)):
+            a = make(rng, spec, n, n)
+            for cyclic in (False, True):
+                expected = None
+                for cap in caps:
+                    monkeypatch.setattr(blocks, "_SUFFIX_CAP", cap)
+                    tracks = [(t, t._plan) for t in blocks.complete_tracks(a, cyclic)]
+                    if expected is None:
+                        expected = tracks
+                    assert tracks == expected
+                    splits.add((n, suffix_walks[-1][0]))
+    assert {(n, k) for n in range(2, 8) for k in (0, (n + 1) // 2)} <= splits
 
 
 def track_pin_matrices():

@@ -390,6 +390,38 @@ def test_search_states_its_pruning_test_once():
     assert pruning(tree) == (1, 1)
 
 
+def _extends_a_string(node: ast.AST) -> bool:
+    """Whether node calls with a state whose first field is `used | bit`: a
+    partial string extended by one more row."""
+    return (
+        isinstance(node, ast.Call)
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Tuple)
+        and isinstance(node.args[0].elts[0], ast.BinOp)
+        and isinstance(node.args[0].elts[0].op, ast.BitOr)
+    )
+
+
+def test_track_walk_extends_strings_in_one_loop():
+    # both halves of the meet-in-the-middle track walk come from _walk, whose
+    # one loop states the block rule and the ascending cut once: a second
+    # loop that extends partial strings, in complete_tracks or a helper,
+    # would be a near-copy of the rule to keep in step; the join checks the
+    # junction pair, the one pair that neither walk sees
+    tree = ast.parse((SRC / "blocks.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    loops = [(name, loop) for name, fn in functions.items() for loop in ast.walk(fn)
+             if isinstance(loop, (ast.For, ast.While))
+             and any(map(_extends_a_string, _own_nodes(loop)))]
+    assert [name for name, _ in loops] == ["_walk"]
+    rules = [ast.unparse(node) for node in ast.walk(functions["_walk"])
+             if isinstance(node, ast.Compare)]
+    assert rules == ["b != last", "b < 0", "r > rows[-1]"]
+    calls = [node for node in ast.walk(functions["complete_tracks"])
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_walk"]
+    assert len(calls) == 2
+
+
 def test_one_scan_for_every_field_and_one_writer_of_column_masks():
     # the null masks of every field come from one kernel on the column
     # masks, with no fork by field in it: a second scan function would be a

@@ -14,6 +14,8 @@ from fractions import Fraction
 from .errors import DivisionByZero, FieldMismatch, ParseError, Value
 
 _MAX_PRIME = 1 << 31
+# a Q literal: an integer or a/b, in ASCII digits
+_RATIONAL_RE = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?\Z")
 
 
 def is_prime(n: int) -> bool:
@@ -122,10 +124,14 @@ class FieldSpec(Value):
 
     def parse_raw(self, text: str):
         """Parse a canonical literal to its raw value: decimal residue for GF,
-        a/b or int for Q."""
+        a/b or int for Q.  Over Q nothing else is a literal: no decimal
+        point, exponent or digit separator, so a short text cannot stand
+        for a huge integer."""
         text = text.strip()
         try:
             if self.kind is FieldKind.RATIONAL:
+                if not _RATIONAL_RE.match(text):
+                    raise ValueError(text)
                 return Fraction(text)
             return int(text) % self.p  # type: ignore[operator]
         except (ValueError, ZeroDivisionError) as exc:

@@ -100,6 +100,10 @@ def trial_rng(seed: int, trial: int) -> random.Random:
 
 def sample_gl(n: int, q: int, rng: random.Random) -> ExactMatrix:
     """Uniform over GL_n(F_q) by rejection on uniform entry matrices."""
+    # before the first draw: at any other n no draw is an invertible matrix,
+    # and the rejection loop would not end
+    if type(n) is not int or n < 1:
+        raise SizeMismatch(f"sample_gl needs an integer n >= 1, got {n!r}")
     spec = FieldSpec.gf(q)
     if q == 2:
         cols = range(n)

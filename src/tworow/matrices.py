@@ -21,12 +21,17 @@ determinant and rank are one elimination core behind a field dispatch.
 _eliminate runs on int rows: modulo p on rows packed into ints, one lane
 per column, so that clearing a column below its pivot costs one big-int
 multiply-add per row; and fraction-free (Bareiss) over Q, on the rows with
-their denominators cleared.  _eliminate_gf2 is the twin on rows packed
-into bits over GF(2), which _rank_det hands the column masks: A and its
-transpose share rank and determinant.  Both return (rank, det);
-harness.sample_gl calls them on the rows it draws and hands the pair of
-the draw it keeps to ExactMatrix._from_raw, so its matrix is eliminated
-once.
+their denominators cleared.  Modulo p there are two lane layouts, and only
+_eliminate picks between them.  For p <= 16, _eliminate_bytes gives each
+lane one byte, so that a whole row reduces mod p in one bytes.translate: a
+byte holds p-1 plus one update of at most (p-1)**2 only while p <= 16.
+For 16 < p < 2**31, _eliminate_mod never reduces a lane in place and gives
+each lane the width of its growth over a whole elimination.
+_eliminate_gf2 is the twin on rows packed into bits over GF(2), which
+_rank_det hands the column masks: A and its transpose share rank and
+determinant.  Both return (rank, det); harness.sample_gl calls them on the
+rows it draws and hands the pair of the draw it keeps to
+ExactMatrix._from_raw, so its matrix is eliminated once.
 """
 
 from __future__ import annotations
@@ -368,9 +373,13 @@ def _integer_rows(raw) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 def _eliminate(rows, p: int) -> tuple[int, int]:
     """(rank, det) of int rows by forward elimination: modulo p for p > 0
-    (entries must lie in [0, p)) by _eliminate_mod, fraction-free (Bareiss)
-    over the integers for p = 0.  Columns without a pivot are skipped, so
-    any shape works; det is 0 unless the matrix is square and of full rank.
+    (entries must lie in [0, p)), on byte lanes by _eliminate_bytes for
+    p <= 16 and on wider lanes by _eliminate_mod above, fraction-free
+    (Bareiss) over the integers for p = 0.  Columns without a pivot are
+    skipped, so any shape works; det is 0 unless the matrix is square and
+    of full rank.  Callers name only this function, so every row meets the
+    path its p can run on: _rank_det, harness.sample_gl and the GF(2)
+    minors of blocks.track_sum, which pass p = 2.
 
     Below a pivot in column c only the columns right of c are updated; the
     rest is never read again.  Over the integers every updated entry is a
@@ -378,7 +387,7 @@ def _eliminate(rows, p: int) -> tuple[int, int]:
     that divisor carries over skipped columns.
     """
     if p:
-        return _eliminate_mod(rows, p)
+        return _eliminate_bytes(rows, p) if p <= 16 else _eliminate_mod(rows, p)
     mat = [list(row) for row in rows]
     m, n = len(mat), len(mat[0])
     r = 0
@@ -409,9 +418,83 @@ def _eliminate(rows, p: int) -> tuple[int, int]:
     return r, sign * prev
 
 
+def _residues(p: int) -> bytes:
+    """The bytes.translate table that takes each byte to its residue mod p."""
+    return (bytes(range(p)) * (256 // p + 1))[:256]
+
+
+def _eliminate_bytes(rows, p: int) -> tuple[int, int]:
+    """(rank, det) modulo p <= 16 of int rows with entries in [0, p), on rows
+    packed one byte per column: column k is byte k of the little-endian
+    int.from_bytes(bytes(row)).
+
+    The steps are those of _eliminate_mod with 8-bit lanes, which must then
+    stay <= 255.  An update adds at most (p-1)**2 to a lane, so a row whose
+    lanes are below p can take `fresh` updates, at least one for p <= 16,
+    before one could carry; room[i] counts those left to row i.  A row is
+    reduced whole, in three C calls (to_bytes, a translate through the
+    residue table, from_bytes), only just before an update it has no room
+    for, and a pivot's tail the same way when its row has been updated
+    since it was last reduced.  The table is built on the first reduction:
+    a 2 x 2 matrix needs none.
+    """
+    m, n = len(rows), len(rows[0])
+    fresh = (256 - p) // (p - 1) ** 2
+    packed = [int.from_bytes(bytes(row), "little") for row in rows]
+    room = [fresh] * m
+    table = b""
+    r = 0
+    sign = det = 1
+    for c in range(n):
+        sh = 8 * c
+        for piv in range(r, m):
+            v = packed[piv] >> sh & 255
+            if v and v % p:
+                break
+        else:
+            continue
+        top = packed[piv]
+        reduced = room[piv] == fresh
+        if piv != r:
+            packed[piv] = packed[r]
+            room[piv] = room[r]
+            sign = -sign
+        pivot = v % p
+        det = det * pivot % p
+        # lane c and the lanes left of it are never read again
+        tail = top >> (sh + 8) << (sh + 8)
+        if tail and not reduced:
+            table = table or _residues(p)
+            tail = int.from_bytes(tail.to_bytes(n, "little").translate(table), "little")
+        if tail:
+            neg_inv = p - pow(pivot, -1, p)
+            # the rows between r and piv were tested above: zero mod p in lane c
+            for i in range(piv + 1, m):
+                x = packed[i]
+                v = x >> sh & 255
+                if v:
+                    f = v * neg_inv % p
+                    if f:
+                        left = room[i]
+                        if not left:
+                            table = table or _residues(p)
+                            x = int.from_bytes(x.to_bytes(n, "little").translate(table), "little")
+                            left = fresh
+                        room[i] = left - 1
+                        packed[i] = x + f * tail
+        r += 1
+        if r == m:
+            break
+    if r < n or m != n:
+        return r, 0
+    return r, sign * det % p
+
+
 def _eliminate_mod(rows, p: int) -> tuple[int, int]:
     """(rank, det) modulo p of int rows with entries in [0, p), on rows
-    packed into ints: column k is the lane of bits [w*k, w*k + w).
+    packed into ints: column k is the lane of bits [w*k, w*k + w).  It runs
+    for 16 < p < 2**31, where a byte lane could not hold one update; it
+    would give the same answers for smaller p, more slowly.
 
     Clearing column c below its pivot adds f * tail to each row x whose
     lane c is nonzero mod p, with f = -x_c / pivot, and tail the pivot

@@ -279,14 +279,27 @@ def rank_one_over_field(a: ExactMatrix, rows, cols) -> bool:
 
 
 def nonzero_strings(a: ExactMatrix) -> list[tuple[int, ...]]:
-    """All permutation images with a fully nonzero string."""
+    """All permutation images with a fully nonzero string, in lexicographic
+    order: a depth-first walk that picks the row of each column in turn,
+    smallest first, among the unused rows nonzero there."""
     raw = a.raw()
     zero = _is_zero_fn(a)
     n = a.n
+    cells = [[r for r in range(1, n + 1) if not zero(raw[r - 1][c])] for c in range(n)]
     out = []
-    for image in itertools.permutations(range(1, n + 1)):
-        if all(not zero(raw[image[c] - 1][c]) for c in range(n)):
-            out.append(image)
+    image = []
+
+    def walk(c: int) -> None:
+        if c == n:
+            out.append(tuple(image))
+            return
+        for r in cells[c]:
+            if r not in image:
+                image.append(r)
+                walk(c + 1)
+                image.pop()
+
+    walk(0)
     return out
 
 

@@ -3,6 +3,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from tworow import ExperimentMode, canonical_json
 import tworow.raag as raag
 from tworow.blocks import DEFAULT_TRACK_BOUND
@@ -299,6 +301,17 @@ def test_det_csv_rational(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "det", "--matrix", str(path), "--field", "q")
     assert code == 0
     assert json.loads(out)["determinant"] == "-1"
+
+
+@pytest.mark.parametrize("command", ["det", "tracks"])
+@pytest.mark.parametrize("literal", ["1e999999", "0.5", "1_000"])
+def test_rational_literal_is_an_integer_or_a_ratio(capsys, tmp_path, command, literal):
+    # 1e999999 would parse to an integer too long to print as a determinant
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"field": "q", "rows": [[literal]]}))
+    code, out, err = run_cli(capsys, command, "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: row 1, column 1: bad q scalar literal {literal!r}\n"
 
 
 def test_trace_text_and_json(capsys):

@@ -103,6 +103,18 @@ def test_parse_scalar_round_trip():
         QQ.parse_scalar("1/0")
 
 
+def test_rational_literals_are_integers_or_ratios():
+    # Fraction itself would also take decimals, exponents, digit separators
+    # and non-ASCII digits
+    for text, want in [("12", 12), ("-3/4", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)),
+                       (" 7 ", 7), ("0/5", 0)]:
+        assert QQ.parse_raw(text) == want
+    for text in ["1e999999", "1e3", "0.5", ".5", "1.", "1_000", "\u0663", "3/-4",
+                 "1 / 2", "1/2/3", "/2", "", "-", "inf", "nan"]:
+        with pytest.raises(ParseError, match="bad q scalar literal"):
+            QQ.parse_raw(text)
+
+
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         GF2.scalar(1) + GF3.scalar(1)

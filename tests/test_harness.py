@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from tworow import (
     sample_gl,
     trial_rng,
 )
+from tworow import harness
 
 
 def test_config_validation():
@@ -94,6 +96,32 @@ def test_sample_gl_tiny():
     a = sample_gl(1, 2, rng)
     assert a.raw() == ((1,),)
     assert a.spec is GF2
+
+
+class NoDraws(random.Random):
+    """A generator that fails on any draw."""
+
+    def getrandbits(self, k):
+        raise AssertionError("drew bits")
+
+    def random(self):
+        raise AssertionError("drew a float")
+
+
+# n values sample_gl must refuse before its first draw: unchecked, (-1, 2)
+# loops forever, (-1, 3) and (0, 3) raise IndexError, (2.0, 3) TypeError,
+# and (True, q) returns a 1 x 1 matrix
+BAD_SAMPLE_N = [(-1, 2), (-1, 3), (0, 2), (0, 3), (2.0, 3), (2.0, 2), (True, 2),
+                (True, 5), (False, 3), ("3", 3), (None, 2)]
+
+
+@pytest.mark.parametrize("n, q", BAD_SAMPLE_N)
+def test_sample_gl_rejects_bad_n_before_drawing(n, q, monkeypatch):
+    # an elimination would mean a rejection loop had started
+    for name in ("_eliminate", "_eliminate_gf2"):
+        monkeypatch.setattr(harness, name, lambda *args: pytest.fail("eliminated"))
+    with pytest.raises(SizeMismatch, match=re.escape(f"integer n >= 1, got {n!r}")):
+        sample_gl(n, q, NoDraws())
 
 
 def test_gl2_f2_has_six_elements():

@@ -31,7 +31,8 @@ from tworow import (
 )
 from tworow.fields import FieldSpec, Scalar
 from tworow.harness import sample_gl
-from tworow.matrices import _eliminate
+from tworow import matrices
+from tworow.matrices import _eliminate, _eliminate_bytes, _eliminate_mod
 
 from .conftest import ALL_SPECS, random_matrix
 from .oracles import (
@@ -371,7 +372,8 @@ def test_raw_matches_scalar_rows(m, n, rnd):
 
 
 GF7 = FieldSpec.gf(7)
-LANE_SPECS = [GF3, GF5, GF7, BIG_PRIME]
+# GF(17) is the first field whose elimination takes the lane path
+LANE_SPECS = [GF3, GF5, GF7, FieldSpec.gf(17), BIG_PRIME]
 
 
 @pytest.mark.parametrize("spec", LANE_SPECS, ids=lambda s: s.name)
@@ -427,13 +429,97 @@ def test_lane_kernel_lane_bound_stress(spec):
     # right, the most it can.  Lanes then come within p of the bound the
     # lane width is taken from, and a lane one bit narrower fails on many
     # of these shapes.
+    # _eliminate takes the byte lanes for p <= 16; the lane kernel is run
+    # on those fields too
     p = spec.p
     for n in range(2, 25):
         for m in (n - 1, n, n + 2):
-            rows = [
-                [(-1 - i) % p if j > i else (1 - j) % p for j in range(n)] for i in range(m)
-            ]
-            assert _eliminate(rows, p) == (min(m, n), int(m == n)), (m, n)
+            rows = _stress_rows(p, m, n)
+            want = (min(m, n), int(m == n))
+            assert _eliminate(rows, p) == _eliminate_mod(rows, p) == want, (m, n)
+
+
+def _stress_rows(p: int, m: int, n: int) -> list[list[int]]:
+    """Entry (i, j) is -1-i above the diagonal and 1-j on and below it, mod p."""
+    return [[(-1 - i) % p if j > i else (1 - j) % p for j in range(n)] for i in range(m)]
+
+
+# the primes _eliminate hands to the byte lanes: every prime p <= 16, with
+# p = 2 for the GF(2) minors of track_sum
+BYTE_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def test_eliminate_takes_byte_lanes_up_to_16(monkeypatch):
+    calls = []
+    for name in ("_eliminate_bytes", "_eliminate_mod"):
+        def spy(rows, p, name=name, real=getattr(matrices, name)):
+            calls.append((name, p))
+            return real(rows, p)
+        monkeypatch.setattr(matrices, name, spy)
+    lane_primes = [17, 19, BIG_PRIME.p]
+    for p in BYTE_PRIMES + lane_primes:
+        assert _eliminate([[1, 1], [0, 1]], p) == (2, 1)
+    assert calls == ([("_eliminate_bytes", p) for p in BYTE_PRIMES]
+                     + [("_eliminate_mod", p) for p in lane_primes])
+
+
+def _byte_cases(rng: random.Random, p: int, m: int, n: int) -> list:
+    """m x n rows over GF(p): dense, sparse, a product U V of inner size
+    k < min(m, n), so rank-deficient, and the dense rows with one row and
+    with one column set to zero."""
+    dense = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    sparse = [[rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(n)]
+              for _ in range(m)]
+    k = rng.randrange(min(m, n))
+    u = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+    v = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+    low = [[sum(u[i][t] * v[t][j] for t in range(k)) % p for j in range(n)] for i in range(m)]
+    zr, zc = rng.randrange(m), rng.randrange(n)
+    zero_row = [[0] * n if i == zr else row for i, row in enumerate(dense)]
+    zero_col = [[0 if j == zc else x for j, x in enumerate(row)] for row in dense]
+    return [dense, sparse, low, zero_row, zero_col]
+
+
+@pytest.mark.parametrize("p", BYTE_PRIMES)
+def test_byte_lanes_match_lane_path_and_oracles(p):
+    # every shape up to 5 x 5 against the brute-force oracles, and shapes
+    # up to 69 x 64 against the lane path and, while square and small
+    # enough, the Scalar elimination
+    spec = FieldSpec.gf(p)
+    rng = random.Random(p)
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for rows in _byte_cases(rng, p, m, n):
+                got = _eliminate_bytes(rows, p)
+                assert got == _eliminate_mod(rows, p), rows
+                a = ExactMatrix(spec, rows)
+                assert got[0] == brute_rank(a), rows
+                if m == n:
+                    assert got[1] == naive_determinant(a), rows
+    for n in (8, 17, 33, 64):
+        for m in (n - 3, n, n + 5):
+            for rows in _byte_cases(rng, p, m, n):
+                got = _eliminate_bytes(rows, p)
+                assert got == _eliminate_mod(rows, p), (m, n)
+                if m == n <= 17:
+                    assert got[1] == determinant_generic(ExactMatrix(spec, rows)).value
+
+
+@pytest.mark.parametrize("p", BYTE_PRIMES)
+def test_byte_lanes_reduce_before_they_carry(p):
+    # on the stress rows each row is updated by every pivot above it, and
+    # each update adds (p-1)**2 to every lane right of its column.  A
+    # reduced row has room for `fresh` updates; from n = fresh + 3 on some
+    # lane reaches p-1 + fresh * (p-1)**2, the most a byte may hold without
+    # one more update carrying, for every p.  So rows run out of room and
+    # are reduced, and pivots come from rows updated since their last
+    # reduction, whose tails must be reduced before they are added.
+    fresh = (256 - p) // (p - 1) ** 2
+    for n in [*range(2, 10), fresh + 2, fresh + 3, fresh + 4]:
+        for m in (n - 1, n, n + 2):
+            rows = _stress_rows(p, m, n)
+            want = (min(m, n), int(m == n))
+            assert _eliminate_bytes(rows, p) == _eliminate_mod(rows, p) == want, (m, n)
 
 
 # digests of seeded sample_gl draws, n = 1..8 and seeds 0..5, as the

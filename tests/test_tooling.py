@@ -206,6 +206,15 @@ def test_only_matrices_clears_denominators():
     assert _named_outside("_integer_rows", {"matrices.py"}) == []
 
 
+def test_only_matrices_picks_an_elimination_path():
+    # harness and blocks eliminate through _eliminate, which picks the byte
+    # lanes or the wide lanes by p, so no caller can take a path that
+    # cannot hold its field
+    for name in ("_eliminate_mod", "_eliminate_bytes"):
+        assert _named_outside(name, {"matrices.py"}) == [], name
+    assert _named_outside("_eliminate", {"matrices.py"}) != []
+
+
 def test_no_function_caches():
     # functools' caches hold their arguments and results for the life of
     # the process; derived state belongs to the object it derives from
